@@ -78,11 +78,8 @@ from .claims import (
     Claim,
     ClaimStore,
     Provenance,
-    ingest_claim,
     load_claimstore,
-    provenance_of,
     read_claims,
-    view_by_asserters,
     write_claims,
 )
 from .validation import (

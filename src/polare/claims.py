@@ -5,6 +5,11 @@ asserted it; later claims containing the same triple record it as a
 corroboration instead of re-owning it.  Views can then be restricted to the
 claims of accepted asserters and fed to assembly and validation like any
 other triple set.
+
+A claim is built, sorted and hashed exactly once: ``Claim`` renders each
+term a single time and uses that rendering for both the canonical order
+and the hashed text, and ``ClaimStore.add`` files an already-built claim,
+so replaying a claims file builds one ``Claim`` per line.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .errors import ClaimError, EmptyAssertionError, StoreError, WireParseError
-from .wire import Triple, TripleSet, parse_triples, render_triple, serialize_triples
+from .wire import Triple, TripleSet, canonicalize, parse_triples, render_triple
 
 Pathish = Union[str, Path]
 
@@ -25,15 +30,19 @@ Pathish = Union[str, Path]
 def _canonical_timestamp(value: datetime) -> datetime:
     if value.tzinfo is None:
         value = value.replace(tzinfo=timezone.utc)
-    return value.astimezone(timezone.utc)
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError:
+        raise ClaimError(f"timestamp {value.isoformat()} has no UTC equivalent in range") from None
 
 
 def parse_timestamp(text: str) -> datetime:
     """RFC-3339 date-time, normalized to UTC."""
     try:
-        return _canonical_timestamp(datetime.fromisoformat(text.replace("Z", "+00:00")))
+        parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as e:
         raise ClaimError(f"bad timestamp {text!r}: {e}") from None
+    return _canonical_timestamp(parsed)
 
 
 @dataclass(frozen=True)
@@ -53,13 +62,13 @@ class Claim:
     def __post_init__(self):
         if not self.asserter:
             raise ClaimError("claim asserter must be non-empty")
-        triples = TripleSet(self.assertion)
-        if len(triples) == 0:
+        ordered, text = canonicalize(self.assertion)
+        if not ordered:
             raise EmptyAssertionError("claim assertion must contain at least one triple")
-        object.__setattr__(self, "assertion", tuple(triples.sorted_triples()))
+        object.__setattr__(self, "assertion", tuple(ordered))
         object.__setattr__(self, "timestamp", _canonical_timestamp(self.timestamp))
         digest = hashlib.sha256()
-        digest.update(serialize_triples(triples).encode("utf-8"))
+        digest.update(text.encode("utf-8"))
         digest.update(b"\x00" + self.asserter.encode("utf-8"))
         digest.update(b"\x00" + self.timestamp.isoformat().encode("utf-8"))
         object.__setattr__(self, "id", "urn:claim:" + digest.hexdigest())
@@ -106,30 +115,33 @@ class ClaimStore:
     def asserters(self) -> list:
         return sorted({c.asserter for c in self._claims.values()})
 
-    def ingest(self, assertion, asserter: str, source: str, timestamp: datetime) -> str:
+    def add(self, claim: Claim) -> str:
         """Store one claim; returns its id.
 
         New triples become owned by this claim; triples already owned by an
-        earlier claim are recorded as corroborations.  Re-ingesting a claim
+        earlier claim are recorded as corroborations.  Re-adding a claim
         with identical content (same assertion, asserter and timestamp) is a
         no-op returning the existing id.
         """
-        claim = Claim(asserter, source, timestamp, tuple(TripleSet(assertion)))
-        if claim.id in self._claims:
-            return claim.id
+        cid = claim.id
+        if cid in self._claims:
+            return cid
         owned = []
         corroborated = []
         for t in claim.assertion:
-            if t in self._owner:
-                self._corroborators.setdefault(t, []).append(claim.id)
-                corroborated.append(t)
-            else:
-                self._owner[t] = claim.id
+            if self._owner.setdefault(t, cid) == cid:
                 owned.append(t)
-        self._claims[claim.id] = claim
-        self._owned[claim.id] = tuple(owned)
-        self._corroborated[claim.id] = tuple(corroborated)
-        return claim.id
+            else:
+                self._corroborators.setdefault(t, []).append(cid)
+                corroborated.append(t)
+        self._claims[cid] = claim
+        self._owned[cid] = tuple(owned)
+        self._corroborated[cid] = tuple(corroborated)
+        return cid
+
+    def ingest(self, assertion, asserter: str, source: str, timestamp: datetime) -> str:
+        """Build a claim from its parts and :meth:`add` it; returns its id."""
+        return self.add(Claim(asserter, source, timestamp, tuple(assertion)))
 
     def owned_triples(self, claim_id: str) -> tuple:
         self.claim(claim_id)
@@ -164,18 +176,6 @@ class ClaimStore:
         return ts
 
 
-def ingest_claim(store: ClaimStore, assertion, asserter, source, timestamp) -> str:
-    return store.ingest(assertion, asserter, source, timestamp)
-
-
-def provenance_of(store: ClaimStore, t: Triple) -> Provenance:
-    return store.provenance_of(t)
-
-
-def view_by_asserters(store: ClaimStore, accepted) -> TripleSet:
-    return store.view_by_asserters(accepted)
-
-
 # -- claim files (one JSON object per line) --------------------------------
 
 
@@ -190,31 +190,47 @@ def claim_to_json(claim: Claim) -> str:
 
 
 def claim_from_json(line: str, origin: str = "claims") -> Claim:
+    """One claim-file line -> Claim; every failure is a :class:`StoreError`
+    naming ``origin``."""
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also the decoder's digit and depth limits
         raise StoreError(f"{origin}: invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise StoreError(f"{origin}: claim must be a JSON object")
     for key in ("asserter", "source", "timestamp", "assertion"):
-        if not isinstance(data.get(key), str):
+        value = data.get(key)
+        if not isinstance(value, str):
             raise StoreError(f"{origin}: claim field {key!r} missing or not a string")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as e:  # a lone surrogate escape such as "\ud800"
+            raise StoreError(f"{origin}: claim field {key!r} is not valid Unicode: {e}") from None
     try:
         assertion = parse_triples(data["assertion"], {})
     except WireParseError as e:
         raise StoreError(f"{origin}: bad assertion payload: {e}") from e
-    return Claim(
-        data["asserter"], data["source"], parse_timestamp(data["timestamp"]), tuple(assertion)
-    )
+    try:
+        return Claim(
+            data["asserter"], data["source"], parse_timestamp(data["timestamp"]), tuple(assertion)
+        )
+    except ClaimError as e:
+        raise StoreError(f"{origin}: {e}") from e
 
 
 def read_claims(path: Pathish) -> list:
     """Parse a claims file into Claim objects, preserving line order."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # number the line as the loop below would: by the breaks before the bad byte
+        line = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        raise StoreError(f"{path}:{line}: not valid UTF-8: {e}") from None
     out = []
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -235,5 +251,5 @@ def load_claimstore(path: Pathish) -> ClaimStore:
     """Build a store by replaying a claims file in line order."""
     store = ClaimStore()
     for claim in read_claims(path):
-        store.ingest(claim.assertion, claim.asserter, claim.source, claim.timestamp)
+        store.add(claim)
     return store

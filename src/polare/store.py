@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .claims import ClaimStore, load_claimstore, write_claims
+from .claims import ClaimStore, load_claimstore, read_claims, write_claims
 from .errors import StoreError
 from .mapping import assemble_entities
 from .model import EntityGraph
@@ -75,15 +75,20 @@ class Store:
         """Append claims not already present; returns (new, duplicate) counts.
 
         Ownership order is replay order of the file, so duplicates (same
-        content id) are skipped rather than re-appended.
+        content id, in the log or earlier in the batch) are skipped rather
+        than re-appended.  Only the ids of the logged claims are needed, not
+        their ownership index.
         """
-        store = self.load_claims()
+        seen = set()
+        if self.claims_path.exists():
+            seen = {claim.id for claim in read_claims(self.claims_path)}
         fresh = []
         duplicates = 0
         for claim in claims:
-            if claim.id in store or any(claim.id == c.id for c in fresh):
+            if claim.id in seen:
                 duplicates += 1
                 continue
+            seen.add(claim.id)
             fresh.append(claim)
         if fresh:
             write_claims(fresh, self.claims_path, append=True)

@@ -1,4 +1,4 @@
-"""Triple wire format: a strict N-Triples subset with an out-of-band prefix
+r"""Triple wire format: a strict N-Triples subset with an out-of-band prefix
 map, plus canonical serialization.
 
 Grammar (one statement per line)::
@@ -16,10 +16,21 @@ are an input convenience expanded through the supplied prefix map; a PNAME
 local part cannot end with ``.``, since a trailing dot reads as the
 statement terminator.  Canonical serialization emits full IRIs only, one
 sorted statement per line.
+
+Parsing is one left-to-right pass per line.  The scanner finds each token
+with a single ``str.find`` or precompiled regex match from its cursor (an
+IRI is found by its closing ``>`` and then checked for the forbidden
+characters ``" \t<"``), so a line costs time linear in its length.  A
+literal is sliced out whole unless it holds a backslash, and only then
+decoded escape by escape; a ``\u``/``\U`` escape must name a Unicode scalar
+value, as UCHAR does in RDF 1.1 N-Triples, so surrogates and code points
+past U+10FFFF are rejected.  Every :class:`WireParseError` carries the exact
+1-based line and column of the offending character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -102,10 +113,9 @@ class TripleSet:
             self.add(t)
 
     def add(self, t: Triple) -> bool:
-        if t in self._items:
-            return False
-        self._items[t] = None
-        return True
+        size = len(self._items)
+        self._items.setdefault(t)  # hashes t once; a test plus a store would hash it twice
+        return len(self._items) > size
 
     def update(self, triples: Iterable[Triple]) -> None:
         for t in triples:
@@ -132,22 +142,44 @@ class TripleSet:
     def __repr__(self) -> str:
         return f"TripleSet({len(self._items)} triples)"
 
-    def sorted_triples(self) -> list:
-        return sorted(
-            self._items,
-            key=lambda t: (render_term(t.subject), render_term(t.predicate), render_term(t.object)),
-        )
+
+def canonicalize(triples: Iterable[Triple]) -> tuple:
+    """``(ordered, text)``: the distinct triples sorted by their rendered
+    (subject, predicate, object), and their canonical text.
+
+    Each term is rendered once, and that one rendering is both the sort key
+    and the text, so the order and the text cannot disagree.
+    """
+    distinct = list(dict.fromkeys(triples))
+    keys = [
+        (render_term(t.subject), render_term(t.predicate), render_term(t.object)) for t in distinct
+    ]
+    order = sorted(range(len(distinct)), key=keys.__getitem__)
+    text = "".join(f"{s} {p} {o} .\n" for s, p, o in map(keys.__getitem__, order))
+    return [distinct[i] for i in order], text
 
 
 def serialize_triples(ts: TripleSet) -> str:
     """Canonical text form: full IRIs, one statement per line, lines sorted
     by (subject, predicate, object); ``parse_triples`` inverts it exactly."""
-    lines = [render_triple(t) for t in ts.sorted_triples()]
-    return "".join(line + "\n" for line in lines)
+    return canonicalize(ts)[1]
+
+
+_WS = re.compile(r"[ \t]*")
+_IRI_FORBIDDEN = re.compile(r"[ \t<]")
+_BLANK_LABEL = re.compile(r"[\w.-]*")  # \w is str.isalnum() plus "_"
+_PNAME = re.compile(r"[^ \t]*")
+_LITERAL_RUN = re.compile(r'[^"\\]*')  # up to the closing quote or an escape
+_HEX = frozenset("0123456789abcdefABCDEF")
 
 
 class _LineScanner:
-    """Cursor over one statement line, reporting 1-based columns."""
+    """Cursor over one statement line, reporting 1-based columns.
+
+    Every token is found with one ``str.find`` or one precompiled regex
+    match from the cursor, so a line is scanned in time linear in its
+    length.  Literal escapes are decoded only when a backslash is present.
+    """
 
     def __init__(self, text: str, line_no: int, prefixes: dict):
         self.text = text
@@ -165,54 +197,39 @@ class _LineScanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def skip_ws(self) -> int:
-        skipped = 0
-        while not self.at_end() and self.text[self.pos] in " \t":
-            self.pos += 1
-            skipped += 1
-        return skipped
+        start = self.pos
+        self.pos = _WS.match(self.text, start).end()
+        return self.pos - start
 
     def scan_iriref(self) -> str:
-        start = self.pos
-        self.pos += 1  # consume "<"
-        chars = []
-        while True:
-            if self.at_end():
-                self.error("unterminated IRI", column=start + 1)
-            c = self.text[self.pos]
-            self.pos += 1
-            if c == ">":
-                break
-            if c in " \t<":
-                self.error(f"character {c!r} not allowed inside IRI", column=self.pos)
-            chars.append(c)
-        if not chars:
+        text, start = self.text, self.pos
+        close = text.find(">", start + 1)
+        bad = _IRI_FORBIDDEN.search(text, start + 1, len(text) if close < 0 else close)
+        if bad:
+            self.error(f"character {bad.group()!r} not allowed inside IRI", column=bad.start() + 1)
+        if close < 0:
+            self.error("unterminated IRI", column=start + 1)
+        if close == start + 1:
             self.error("empty IRI", column=start + 1)
-        return "".join(chars)
+        self.pos = close + 1
+        return text[start + 1 : close]
 
     def scan_blank(self) -> BlankNode:
         start = self.pos
-        self.pos += 2  # consume "_:"
-        label_start = self.pos
-        while not self.at_end() and (self.text[self.pos].isalnum() or self.text[self.pos] in "_.-"):
-            self.pos += 1
-        label = self.text[label_start : self.pos]
+        end = _BLANK_LABEL.match(self.text, start + 2).end()
         # a trailing dot reads as the statement terminator, not label content
-        while label.endswith("."):
-            label = label[:-1]
-            self.pos -= 1
+        label = self.text[start + 2 : end].rstrip(".")
         if not label:
             self.error("empty blank node label", column=start + 1)
+        self.pos = start + 2 + len(label)
         return BlankNode(label)
 
     def scan_pname_iri(self) -> str:
         """Scan a prefixed name and expand it through the prefix map."""
         start = self.pos
-        while not self.at_end() and self.text[self.pos] not in " \t":
-            self.pos += 1
-        token = self.text[start : self.pos]
-        while token.endswith("."):
-            token = token[:-1]
-            self.pos -= 1
+        end = _PNAME.match(self.text, start).end()
+        token = self.text[start:end].rstrip(".")
+        self.pos = start + len(token)
         if ":" not in token:
             self.error(f"expected an IRI, blank node or literal, got {token!r}", column=start + 1)
         prefix, _, local = token.partition(":")
@@ -221,42 +238,55 @@ class _LineScanner:
         return self.prefixes[prefix] + local
 
     def scan_literal(self) -> Literal:
-        start = self.pos
-        self.pos += 1  # consume opening quote
-        chars = []
-        while True:
-            if self.at_end():
-                self.error("unterminated literal", column=start + 1)
-            c = self.text[self.pos]
-            self.pos += 1
-            if c == '"':
-                break
-            if c != "\\":
-                chars.append(c)
-                continue
-            if self.at_end():
-                self.error("dangling escape at end of line")
-            e = self.text[self.pos]
-            self.pos += 1
-            if e in _UNESCAPES:
-                chars.append(_UNESCAPES[e])
-            elif e in "uU":
-                width = 4 if e == "u" else 8
-                hexpart = self.text[self.pos : self.pos + width]
-                if len(hexpart) < width or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                    self.error(f"bad \\{e} escape")
-                chars.append(chr(int(hexpart, 16)))
-                self.pos += width
-            else:
-                self.error(f"unknown escape \\{e}")
+        text, start = self.text, self.pos
+        end = _LITERAL_RUN.match(text, start + 1).end()
+        if end < len(text) and text[end] == '"':
+            lexical = text[start + 1 : end]
+            self.pos = end + 1
+        else:
+            lexical = self._unescape(start)
         datatype = XSD_STRING
-        if self.text[self.pos : self.pos + 2] == "^^":
+        if text.startswith("^^", self.pos):
             self.pos += 2
             if self.peek() == "<":
                 datatype = self.scan_iriref()
             else:
                 datatype = self.scan_pname_iri()
-        return Literal("".join(chars), datatype)
+        return Literal(lexical, datatype)
+
+    def _unescape(self, start: int) -> str:
+        """Decode the body of the literal opening at ``start`` and move the
+        cursor past its closing quote."""
+        text = self.text
+        chars = []
+        self.pos = start + 1
+        while True:
+            end = _LITERAL_RUN.match(text, self.pos).end()
+            chars.append(text[self.pos : end])
+            if end >= len(text):
+                self.error("unterminated literal", column=start + 1)
+            self.pos = end + 1
+            if text[end] == '"':
+                return "".join(chars)
+            if self.at_end():
+                self.error("dangling escape at end of line")
+            e = text[self.pos]
+            self.pos += 1
+            if e in _UNESCAPES:
+                chars.append(_UNESCAPES[e])
+            elif e in "uU":
+                width = 4 if e == "u" else 8
+                hexpart = text[self.pos : self.pos + width]
+                if len(hexpart) < width or not _HEX.issuperset(hexpart):
+                    self.error(f"bad \\{e} escape")
+                code = int(hexpart, 16)
+                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    # RDF 1.1 N-Triples UCHAR: an escape names a Unicode scalar value
+                    self.error(f"\\{e}{hexpart} is not a Unicode scalar value", column=end + 1)
+                chars.append(chr(code))
+                self.pos += width
+            else:
+                self.error(f"unknown escape \\{e}")
 
     def scan_subject(self):
         if self.peek() == "<":

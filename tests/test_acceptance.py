@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from polare.claims import ClaimStore, ingest_claim, view_by_asserters
+from polare.claims import ClaimStore
 from polare.errors import AmbiguousAffiliationError
 from polare.inference import (
     affiliation_at,
@@ -263,7 +263,7 @@ def test_provenance_partition(report):
             for _ in range(rng.randint(1, 6))
         )
         before = len(cs)
-        cid = ingest_claim(cs, triples, asserter, "s", ts)
+        cid = cs.ingest(triples, asserter, "s", ts)
         if len(cs) > before:
             log.append((asserter, triples))
             idlog.append(cid)
@@ -275,13 +275,13 @@ def test_provenance_partition(report):
         and all(w.id != cs.provenance_of(t).owner.id for w in cs.provenance_of(t).corroborations)
         for t in cs.triples()
     )
-    full_view = set(view_by_asserters(cs, set(cs.asserters()))) == set(cs.triples())
+    full_view = set(cs.view_by_asserters(set(cs.asserters()))) == set(cs.triples())
     scans_agree = True
     asserters = list(cs.asserters())
     for k in range(len(asserters) + 1):
         for _ in range(3):
             accepted = set(rng.sample(asserters, k=k))
-            if set(view_by_asserters(cs, accepted)) != filter_claims_scan(log, accepted):
+            if set(cs.view_by_asserters(accepted)) != filter_claims_scan(log, accepted):
                 scans_agree = False
     report(
         owners_ok and full_view and scans_agree,

@@ -1,8 +1,12 @@
 import json
 import random
-from datetime import datetime, timezone
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polare.claims import (
     Claim,
@@ -10,20 +14,19 @@ from polare.claims import (
     Provenance,
     claim_from_json,
     claim_to_json,
-    ingest_claim,
     load_claimstore,
     parse_timestamp,
-    provenance_of,
     read_claims,
-    view_by_asserters,
     write_claims,
 )
-from polare.errors import ClaimError, EmptyAssertionError, StoreError
-from polare.wire import Iri, Triple, TripleSet
+from polare.errors import ClaimError, EmptyAssertionError, PolareError, StoreError
+from polare.wire import BlankNode, Iri, Literal, Triple, TripleSet, serialize_triples
 
 from .oracles import filter_claims_scan, first_writer_owner
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+#: instants whose UTC equivalent falls outside datetime's range
+OUT_OF_RANGE = ["9999-12-31T23:59:59-05:00", "0001-01-01T00:00:00+05:00"]
 
 
 def tr(n: int) -> Triple:
@@ -70,6 +73,19 @@ class TestClaimIdentity:
         with pytest.raises(EmptyAssertionError):
             Claim("http://x/a", "s", T0, ())
 
+    def test_timestamp_outside_utc_range_rejected(self):
+        late = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone(timedelta(hours=-5)))
+        with pytest.raises(ClaimError):
+            Claim("http://x/a", "s", late, (tr(0),))
+
+    def test_id_and_order_are_pinned(self):
+        # ids are stored in logs, so the hashed canonical text must never drift
+        lit = Triple(BlankNode("b.1"), Iri("http://x/q"), Literal('a "b"\n\tc', "http://x/dt"))
+        c = Claim("http://x/a", "s", T0, (tr(2), lit, tr(1), tr(2)))
+        assert c.id == "urn:claim:46f01249c63ce05628ef030104f6892fedf6e1cf1321f0ce8715278b7edf624e"
+        assert c.assertion == (tr(1), tr(2), lit)
+        assert json.loads(claim_to_json(c))["assertion"] == serialize_triples(TripleSet(c.assertion))
+
 
 class TestParseTimestamp:
     def test_zulu_suffix(self):
@@ -86,34 +102,39 @@ class TestParseTimestamp:
         with pytest.raises(ClaimError):
             parse_timestamp("yesterday")
 
+    @pytest.mark.parametrize("text", OUT_OF_RANGE)
+    def test_outside_utc_range_rejected(self, text):
+        with pytest.raises(ClaimError):
+            parse_timestamp(text)
+
 
 class TestIngest:
     def test_first_writer_owns(self):
         cs = ClaimStore()
-        c1 = ingest_claim(cs, [tr(1)], "http://x/a", "s", T0)
-        c2 = ingest_claim(cs, [tr(1), tr(2)], "http://x/b", "s", T0)
-        p1 = provenance_of(cs, tr(1))
+        c1 = cs.ingest([tr(1)], "http://x/a", "s", T0)
+        c2 = cs.ingest([tr(1), tr(2)], "http://x/b", "s", T0)
+        p1 = cs.provenance_of(tr(1))
         assert p1.owner.id == c1
         assert [w.id for w in p1.corroborations] == [c2]
-        p2 = provenance_of(cs, tr(2))
+        p2 = cs.provenance_of(tr(2))
         assert p2.owner.id == c2 and p2.corroborations == ()
 
     def test_identical_reingest_is_noop(self):
         cs = ClaimStore()
-        c1 = ingest_claim(cs, [tr(1)], "http://x/a", "s", T0)
-        again = ingest_claim(cs, [tr(1)], "http://x/a", "s", T0)
+        c1 = cs.ingest([tr(1)], "http://x/a", "s", T0)
+        again = cs.ingest([tr(1)], "http://x/a", "s", T0)
         assert again == c1
         assert len(cs.claims()) == 1
-        assert provenance_of(cs, tr(1)).corroborations == ()
+        assert cs.provenance_of(tr(1)).corroborations == ()
 
     def test_provenance_of_unknown_triple_is_empty(self):
         cs = ClaimStore()
-        assert provenance_of(cs, tr(9)) == Provenance(None, ())
+        assert cs.provenance_of(tr(9)) == Provenance(None, ())
 
     def test_owned_and_corroborated_partition_each_claim(self):
         cs = ClaimStore()
-        ingest_claim(cs, [tr(1)], "http://x/a", "s", T0)
-        cid = ingest_claim(cs, [tr(1), tr(2)], "http://x/b", "s", T0)
+        cs.ingest([tr(1)], "http://x/a", "s", T0)
+        cid = cs.ingest([tr(1), tr(2)], "http://x/b", "s", T0)
         assert set(cs.owned_triples(cid)) == {tr(2)}
         assert set(cs.corroborated_triples(cid)) == {tr(1)}
 
@@ -126,7 +147,7 @@ class TestIngest:
             asserter = f"http://x/agent{rng.randrange(5)}"
             ts = datetime(2020, 1, 1 + i % 27, tzinfo=timezone.utc)
             triples = [tr(rng.randrange(12)) for _ in range(rng.randint(1, 5))]
-            cid = ingest_claim(cs, triples, asserter, "s", ts)
+            cid = cs.ingest(triples, asserter, "s", ts)
             if cid not in seen:  # duplicate ingests are no-ops, mirror that
                 seen.add(cid)
                 log.append((cid, tuple(TripleSet(triples))))
@@ -136,8 +157,8 @@ class TestIngest:
 
     def test_asserters_sorted(self):
         cs = ClaimStore()
-        ingest_claim(cs, [tr(1)], "http://x/b", "s", T0)
-        ingest_claim(cs, [tr(2)], "http://x/a", "s", T0)
+        cs.ingest([tr(1)], "http://x/b", "s", T0)
+        cs.ingest([tr(2)], "http://x/a", "s", T0)
         assert cs.asserters() == ["http://x/a", "http://x/b"]
 
 
@@ -149,7 +170,7 @@ class TestViews:
             asserter = f"http://x/agent{rng.randrange(4)}"
             ts = datetime(2020, 1, 1 + i % 25, tzinfo=timezone.utc)
             triples = [tr(rng.randrange(10)) for _ in range(rng.randint(1, 4))]
-            ingest_claim(cs, triples, asserter, "s", ts)
+            cs.ingest(triples, asserter, "s", ts)
             log.append((asserter, tuple(TripleSet(triples))))
         return cs, log
 
@@ -160,7 +181,7 @@ class TestViews:
         for k in range(len(all_asserters) + 1):
             for _ in range(4):
                 accepted = set(rng.sample(all_asserters, k=k))
-                got = view_by_asserters(cs, accepted)
+                got = cs.view_by_asserters(accepted)
                 want = filter_claims_scan(log, accepted)
                 assert set(got) == want
 
@@ -168,7 +189,7 @@ class TestViews:
         rng = random.Random(12)
         cs, log = self.build(rng)
         everyone = set(cs.asserters())
-        assert set(view_by_asserters(cs, everyone)) == set(cs.triples())
+        assert set(cs.view_by_asserters(everyone)) == set(cs.triples())
 
     def test_view_is_monotone_in_accepted_set(self):
         rng = random.Random(13)
@@ -176,14 +197,14 @@ class TestViews:
         asserters = list(cs.asserters())
         seen = set()
         for i in range(len(asserters)):
-            now = set(view_by_asserters(cs, set(asserters[: i + 1])))
+            now = set(cs.view_by_asserters(set(asserters[: i + 1])))
             assert seen <= now
             seen = now
 
     def test_empty_accepted_set_is_empty_view(self):
         rng = random.Random(14)
         cs, _ = self.build(rng)
-        assert len(view_by_asserters(cs, set())) == 0
+        assert len(cs.view_by_asserters(set())) == 0
 
 
 class TestClaimFiles:
@@ -252,3 +273,107 @@ class TestClaimFiles:
         write_claims([second, first], path)
         cs2 = load_claimstore(path)
         assert cs2.provenance_of(tr(1)).owner.id == second.id
+
+    @pytest.mark.parametrize("key", ["asserter", "source", "timestamp", "assertion"])
+    def test_unencodable_field_reports_origin(self, tmp_path, key):
+        # a lone surrogate survives json.loads but cannot be hashed or stored
+        obj = json.loads(claim_to_json(claim()))
+        obj[key] = obj[key][:-5] + "\ud800" + obj[key][-5:]
+        path = tmp_path / "claims.jsonl"
+        path.write_text(claim_to_json(claim()) + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(StoreError) as exc:
+            read_claims(path)
+        assert f"{path}:2:" in str(exc.value) and repr(key) in str(exc.value)
+
+    def test_bad_escape_in_assertion_reports_origin(self, tmp_path):
+        obj = json.loads(claim_to_json(claim()))
+        obj["assertion"] = '<http://x/s> <http://x/p> "\\U00110000" .\n'
+        path = tmp_path / "claims.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(StoreError) as exc:
+            read_claims(path)
+        assert f"{path}:1:" in str(exc.value) and "column 28" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[" * 100_000, '{"asserter": ' + "1" * 5000 + "}"],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_json_decoder_limits_reported(self, tmp_path, line):
+        path = tmp_path / "claims.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(StoreError) as exc:
+            read_claims(path)
+        assert f"{path}:1:" in str(exc.value)
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "claims.jsonl"
+        path.write_bytes(claim_to_json(claim()).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(StoreError) as exc:
+            read_claims(path)
+        assert f"{path}:2:" in str(exc.value)
+
+
+# -- fuzz: malformed claim lines fail as PolareError, never anything else ------
+
+LITERAL_TRIPLE = Triple(Iri("http://x/s"), Iri("http://x/q"), Literal("v\n"))
+VALID_OBJ = json.loads(claim_to_json(Claim("http://x/a", "s", T0, (tr(1), LITERAL_TRIPLE))))
+VALID_LINE = json.dumps(VALID_OBJ, sort_keys=True, separators=(",", ":"))
+CLAIM_KEYS = sorted(VALID_OBJ)
+
+field_texts = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        [
+            "\ud800",
+            "x\udfff",
+            "",
+            *OUT_OF_RANGE,
+            "2020-01-01T00:00:00Z",
+            VALID_OBJ["assertion"],
+            '<http://x/s> <http://x/p> "\\U00110000" .\n',
+            '<http://x/s> <http://x/p> "\\uD800" .\n',
+            "<http://x/s> <http://x/p> _:b. .\n",
+        ]
+    ),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | field_texts,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _splice(cut: tuple) -> str:
+    start, end, insert = cut
+    return VALID_LINE[:start] + insert + VALID_LINE[end:]
+
+
+malformed_lines = st.one_of(
+    st.binary(max_size=40),
+    json_values.map(json.dumps),
+    # a valid claim with one field replaced
+    st.tuples(st.sampled_from(CLAIM_KEYS), json_values).map(
+        lambda kv: json.dumps({**VALID_OBJ, kv[0]: kv[1]})
+    ),
+    # a valid claim line with a span cut out and something spliced in
+    st.tuples(
+        st.integers(0, len(VALID_LINE)), st.integers(0, len(VALID_LINE)), st.text(max_size=4)
+    ).map(_splice),
+)
+
+
+class TestReadClaimsFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(malformed_lines, min_size=1, max_size=3), st.booleans())
+    def test_malformed_lines_raise_only_polare_errors(self, lines, valid_first):
+        encoded = [x if isinstance(x, bytes) else x.encode("utf-8", "surrogatepass") for x in lines]
+        data = b"\n".join(([VALID_LINE.encode()] if valid_first else []) + encoded) + b"\n"
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "claims.jsonl"
+            path.write_bytes(data)
+            try:
+                read_claims(path)
+            except PolareError:
+                pass

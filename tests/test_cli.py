@@ -111,6 +111,25 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", "--claims", str(bad), "--store", str(tmp_path / "s"))
         assert code == 2 and "error" in err.lower()
 
+    def test_timestamp_outside_utc_range_is_usage_error(self, capsys, tmp_path):
+        line = json.loads((OVERLAP / "claims.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        line["timestamp"] = "9999-12-31T23:59:59-05:00"
+        bad = tmp_path / "late.jsonl"
+        bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "ingest", "--claims", str(bad), "--store", str(tmp_path / "s"))
+        assert code == 2
+        assert err.startswith("error:") and "9999" in err
+
+    def test_batch_repeating_a_claim_counts_duplicates(self, capsys, tmp_path):
+        line = (OVERLAP / "claims.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text((line + "\n") * 3, encoding="utf-8")
+        store_dir = tmp_path / "s"
+        code, out, _ = run(capsys, "ingest", "--claims", str(batch), "--store", str(store_dir))
+        assert code == 0
+        assert out == "ingested 1 new claim(s), skipped 2 duplicate(s)\n"
+        assert len(read_claims(store_dir / "claims.jsonl")) == 1
+
 
 class TestInfer:
     def test_writes_jsonl(self, capsys, tmp_path):

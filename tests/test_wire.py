@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from polare.errors import WireParseError
 from polare.wire import (
+    _UNESCAPES,
+    BlankNode,
     Iri,
     Literal,
     Triple,
@@ -103,6 +105,44 @@ class TestParseErrors:
             parse_triples(text)
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "line, column, reason",
+        [
+            # IRIs: unterminated, empty, a forbidden character before the
+            # closing '>', and one reached because the '>' is missing
+            ("<http://ex/a> <http://ex/b> <http://ex/c", 29, "unterminated IRI"),
+            ("<> <http://ex/b> <http://ex/c> .", 1, "empty IRI"),
+            ("<http://ex/a> <> <http://ex/c> .", 15, "empty IRI"),
+            ("<http://ex/a> <http://ex/b\t> <http://ex/c> .", 27, "character '\\t' not allowed inside IRI"),
+            ("<http://ex/a> <http://ex/b> <http://ex/<c> .", 40, "character '<' not allowed inside IRI"),
+            ("<http://ex/a <http://ex/b> <http://ex/c> .", 13, "character ' ' not allowed inside IRI"),
+            ("<http://ex/a> <http://ex/b> <http://ex/c .", 41, "character ' ' not allowed inside IRI"),
+            ('<http://ex/a> <http://ex/b> "x"^^<http://ex/d .', 46, "character ' ' not allowed inside IRI"),
+            # literals and blank nodes
+            ('<http://ex/a> <http://ex/b> "x .', 29, "unterminated literal"),
+            ('<http://ex/a> <http://ex/b> "x\\', 32, "dangling escape at end of line"),
+            ('<http://ex/a> <http://ex/b> "x\\q" .', 33, "unknown escape \\q"),
+            ('<http://ex/a> <http://ex/b> "x\\uZZZZ" .', 33, "bad \\u escape"),
+            ('<http://ex/a> <http://ex/b> "x\\U0001F60" .', 33, "bad \\U escape"),
+            ("_:. <http://ex/b> <http://ex/c> .", 1, "empty blank node label"),
+            ("<http://ex/a> <http://ex/b> _:", 29, "empty blank node label"),
+            # an escape must name a Unicode scalar value; reported at its backslash
+            *(
+                (f'<http://ex/a> <http://ex/b> "x{esc}" .', 31, f"{esc} is not a Unicode scalar value")
+                for esc in ("\\U00110000", "\\UFFFFFFFF", "\\uD800", "\\uDFFF", "\\U0000DC00")
+            ),
+            ('<http://ex/a> <http://ex/b> "x\\uD83D\\uDE00" .', 31, "\\uD83D is not a Unicode scalar value"),
+        ],
+    )
+    def test_error_position_is_exact(self, line, column, reason):
+        with pytest.raises(WireParseError) as exc:
+            parse_triples("<http://ex/a> <http://ex/b> <http://ex/c> .\n" + line + "\n")
+        assert (exc.value.line, exc.value.column, exc.value.reason) == (2, column, reason)
+
+    def test_largest_scalar_values_accepted(self):
+        (tr,) = parse_triples('<http://ex/a> <http://ex/b> "\\U0010FFFF\\uD7FF\\uE000" .\n')
+        assert tr.object.lexical == "\U0010ffff\ud7ff\ue000"
+
 
 class TestSerialization:
     def test_sorted_and_newline_terminated(self):
@@ -157,3 +197,87 @@ class TestRoundTripProperty:
         ts = TripleSet(items)
         once = serialize_triples(ts)
         assert serialize_triples(parse_triples(once)) == once
+
+
+# -- scanner round trip over every term shape ---------------------------------
+
+iri_values = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=" \t<>\n\r"),
+    min_size=1,
+    max_size=16,
+)
+blank_labels = st.text(alphabet="ab9_-.é", min_size=1, max_size=10).filter(
+    lambda s: not s.endswith(".")
+)
+wire_iris = iri_values.map(Iri)
+nodes = st.one_of(wire_iris, blank_labels.map(BlankNode))
+separators = st.text(alphabet=" \t", min_size=1, max_size=3)
+
+
+def _spellings(c: str) -> list:
+    """Every way the wire format can spell one character inside a literal."""
+    out = [] if c in '"\\\n\r' else [c]
+    out += ["\\" + k for k, v in _UNESCAPES.items() if v == c]
+    if ord(c) <= 0xFFFF:
+        out += [f"\\u{ord(c):04x}", f"\\u{ord(c):04X}"]
+    out.append(f"\\U{ord(c):08x}")
+    return out
+
+
+literal_chars = st.one_of(
+    st.sampled_from(sorted(set(_UNESCAPES.values()))),
+    st.characters(blacklist_categories=("Cs",)),
+)
+spelled_chars = literal_chars.flatmap(
+    lambda c: st.tuples(st.just(c), st.sampled_from(_spellings(c)))
+)
+
+
+@st.composite
+def literal_terms(draw):
+    """(Literal, its wire spelling), with escapes chosen at random."""
+    pieces = draw(st.lists(spelled_chars, max_size=12))
+    datatype = draw(st.one_of(st.just(XSD_STRING), iri_values))
+    text = '"' + "".join(s for _, s in pieces) + '"'
+    if datatype != XSD_STRING or draw(st.booleans()):
+        text += f"^^<{datatype}>"
+    return Literal("".join(c for c, _ in pieces), datatype), text
+
+
+@st.composite
+def statement_lines(draw):
+    """(Triple, one wire line spelling it) with random whitespace runs."""
+    s, p = draw(nodes), draw(wire_iris)
+    if draw(st.booleans()):
+        o, o_text = draw(literal_terms())
+    else:
+        o = draw(nodes)
+        o_text = render_term(o)
+    line = "".join(
+        [
+            draw(st.text(alphabet=" \t", max_size=2)),
+            render_term(s),
+            draw(separators),
+            render_term(p),
+            draw(separators),
+            o_text,
+            draw(st.text(alphabet=" \t", max_size=2)),
+            ".",
+            draw(st.text(alphabet=" \t", max_size=2)),
+        ]
+    )
+    return Triple(s, p, o), line
+
+
+class TestScannerProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(nodes, wire_iris, st.one_of(nodes, literal_terms().map(lambda lt: lt[0])))
+    def test_parse_inverts_render_triple(self, s, p, o):
+        tr = Triple(s, p, o)
+        assert parse_triples(render_triple(tr)) == TripleSet([tr])
+
+    @settings(max_examples=300, deadline=None)
+    @given(statement_lines())
+    def test_any_spelling_parses_to_its_triple(self, case):
+        tr, line = case
+        assert parse_triples(line + "\n") == TripleSet([tr])
