@@ -60,7 +60,6 @@ from .model import (
     Vote,
     VoteEvent,
     Voter,
-    interval_in_effect,
 )
 from .wire import (
     BlankNode,

@@ -228,11 +228,11 @@ def read_claims(path: Pathish) -> list:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        # number the line as the loop below would: by the breaks before the bad byte
-        line = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        line = data.count(b"\n", 0, e.start) + 1  # numbered as the loop below numbers it
         raise StoreError(f"{path}:{line}: not valid UTF-8: {e}") from None
     out = []
-    for i, line in enumerate(text.splitlines(), start=1):
+    # JSON Lines break at "\n" only; U+2028 and the like may sit raw in a string
+    for i, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         out.append(claim_from_json(line, f"{path}:{i}"))

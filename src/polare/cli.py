@@ -8,7 +8,6 @@ error-severity violations, or a query came back empty under
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import date
 from pathlib import Path
@@ -19,6 +18,7 @@ from .claims import read_claims
 from .inference import InferenceConfig, edges_to_jsonl, materialize
 from .mapping import assemble_entities, emit_entities
 from .queries import PathQuery, find_paths, neighborhood, paths_to_jsonl
+from .schemes import read_json
 from .singleton import from_singleton, to_singleton
 from .store import Store, load_asserters
 from .validation import ShapeConfig, load_shape_config, validate_graph
@@ -38,12 +38,7 @@ def _parse_date(text: Optional[str]) -> Optional[date]:
 def _load_prefixes(path: Optional[str]) -> dict:
     if not path:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise StoreError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise StoreError(f"{path}: invalid JSON: {e}") from e
+    data = read_json(path)
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):

@@ -12,6 +12,7 @@ a given date, and does that match what the voter rolls recorded.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from datetime import date
@@ -32,6 +33,7 @@ from .model import (
     Transaction,
     Vote,
     check_entity_id,
+    overlapping_pairs,
 )
 from .wire import (
     XSD_BOOLEAN,
@@ -53,6 +55,18 @@ CANDIDACY_POST = "candidacy_post"
 ALL_KINDS = frozenset(
     (FAMILY, CO_MEMBERSHIP, REFERRAL, CO_TRANSACTION, CO_CASE, CANDIDACY_POST)
 )
+
+
+def check_edge_kinds(kinds) -> Optional[frozenset]:
+    """``kinds`` as a frozenset, or None (every kind) when None; a kind
+    outside :data:`ALL_KINDS` is a ``ValueError``."""
+    if kinds is None:
+        return None
+    kinds = frozenset(kinds)
+    unknown = kinds - ALL_KINDS
+    if unknown:
+        raise ValueError(f"unknown edge kinds: {sorted(unknown)}")
+    return kinds
 
 
 @dataclass(frozen=True)
@@ -165,12 +179,7 @@ class InferenceConfig:
     party_classification: Optional[str] = None
 
     def __post_init__(self):
-        if self.kinds is not None:
-            kinds = frozenset(self.kinds)
-            unknown = kinds - ALL_KINDS
-            if unknown:
-                raise ValueError(f"unknown edge kinds: {sorted(unknown)}")
-            object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "kinds", check_edge_kinds(self.kinds))
 
     def enabled(self, kind: str) -> bool:
         return self.kinds is None or kind in self.kinds
@@ -286,26 +295,14 @@ def co_membership_edges(graph: EntityGraph, require_overlap: bool = True) -> lis
         by_org.setdefault(post.organization, []).append(m)
     out = []
     for org, ms in sorted(by_org.items()):
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                m1, m2 = ms[i], ms[j]
-                if m1.person == m2.person:
-                    continue
-                interval = None
-                if require_overlap:
-                    interval = m1.interval.intersection(m2.interval)
-                    if interval is None:
-                        continue
-                out.append(
-                    RelationEdge(
-                        m1.person,
-                        m2.person,
-                        CO_MEMBERSHIP,
-                        org,
-                        (m1.id, m2.id),
-                        interval,
-                    )
-                )
+        pairs = overlapping_pairs(ms) if require_overlap else itertools.combinations(ms, 2)
+        for m1, m2 in pairs:
+            if m1.person == m2.person:
+                continue
+            interval = m1.interval.intersection(m2.interval) if require_overlap else None
+            out.append(
+                RelationEdge(m1.person, m2.person, CO_MEMBERSHIP, org, (m1.id, m2.id), interval)
+            )
     return out
 
 

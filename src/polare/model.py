@@ -3,9 +3,11 @@ electoral entities, concept schemes, day-granular time intervals, and the
 entity graph that holds them all.
 
 All domain values are immutable after construction.  The graph itself is
-mutated only through :meth:`EntityGraph.add` / :meth:`EntityGraph.add_all` /
+mutated only through :meth:`EntityGraph.add_all` (which
+:meth:`EntityGraph.add` calls with a batch of one) and
 :meth:`EntityGraph.remove`, which must be serialized by the caller; any
-number of readers may share a graph snapshot.
+number of readers may share a graph snapshot.  A batch is staged on its
+own, so each insert costs the size of the batch, not of the graph.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     DanglingReferenceError,
@@ -108,9 +110,22 @@ class TimeInterval:
         return True
 
 
-def interval_in_effect(interval: TimeInterval, d: date) -> bool:
-    """Closed-interval membership test at day granularity."""
-    return interval.in_effect(d)
+def overlapping_pairs(items: Iterable) -> Iterator[tuple]:
+    """Every unordered pair of ``items`` whose ``interval`` attributes share
+    a day, each pair once.
+
+    Sorts by start (an open start first) and sweeps, keeping the items whose
+    interval has not yet ended; each item pairs with every kept one.  Costs
+    O(n log n + pairs reported) instead of testing all n(n-1)/2 pairs.
+    """
+    active: list = []
+    for item in sorted(items, key=lambda x: x.interval.start or date.min):
+        start = item.interval.start
+        if start is not None:
+            active = [a for a in active if a.interval.end is None or a.interval.end >= start]
+        for a in active:
+            yield (a, item)
+        active.append(item)
 
 
 @dataclass(frozen=True)
@@ -781,46 +796,30 @@ class EntityGraph:
         return isinstance(self._entities.get(eid), AGENT_CLASSES)
 
     def add(self, entity) -> None:
-        """Insert one entity, rejecting duplicates, dangling or ill-typed
-        references, and unresolved concept ids; the graph is unchanged on
-        rejection."""
-        self._check_type(entity)
-        if self._known_id(entity.id):
-            raise DuplicateIdError(f"id {entity.id} already present in graph")
-        for fld, ref, allowed in iter_references(entity):
-            target = self._entities.get(ref)
-            if target is None:
-                raise DanglingReferenceError(
-                    f"{type(entity).__name__} {entity.id}: {fld} references missing id {ref}"
-                )
-            self._check_target_type(entity, fld, ref, target, allowed)
-        for _, concept_id in iter_concept_refs(entity):
-            if concept_id not in self._concepts:
-                raise DanglingReferenceError(
-                    f"{type(entity).__name__} {entity.id}: concept {concept_id} "
-                    "not found in any registered scheme"
-                )
-        if isinstance(entity, Organization):
-            self._check_parent_chain(entity, self._entities)
-        self._entities[entity.id] = entity
+        """Insert one entity: :meth:`add_all` of a batch of one."""
+        self.add_all((entity,))
 
     def add_all(self, entities: Iterable, allow_dangling: bool = False) -> None:
         """Insert a batch, checking referential closure only after every
         entity is staged, so mutually referencing entities can be loaded in
-        any order.  With ``allow_dangling`` references to ids absent from the
-        graph are tolerated (open-world linked data); references that do
-        resolve must still resolve to the right type."""
-        staged = dict(self._entities)
-        new = []
+        any order.  Duplicate ids, dangling or ill-typed references,
+        unresolved concept ids and parent cycles are rejected, and the graph
+        is unchanged on rejection.  With ``allow_dangling`` references to ids
+        absent from the graph are tolerated (open-world linked data);
+        references that do resolve must still resolve to the right type."""
+        batch: dict = {}
+
+        def staged(eid: str):  # the batch first, then the graph
+            return batch[eid] if eid in batch else self._entities.get(eid)
+
         for entity in entities:
             self._check_type(entity)
-            if entity.id in staged or entity.id in self._schemes or entity.id in self._concepts:
+            if entity.id in batch or self._known_id(entity.id):
                 raise DuplicateIdError(f"id {entity.id} already present in graph")
-            staged[entity.id] = entity
-            new.append(entity)
-        for entity in new:
+            batch[entity.id] = entity
+        for entity in batch.values():
             for fld, ref, allowed in iter_references(entity):
-                target = staged.get(ref)
+                target = staged(ref)
                 if target is None:
                     if not allow_dangling:
                         raise DanglingReferenceError(
@@ -837,7 +836,7 @@ class EntityGraph:
                         )
             if isinstance(entity, Organization):
                 self._check_parent_chain(entity, staged)
-        self._entities = staged
+        self._entities.update(batch)
 
     def remove(self, eid: str) -> None:
         """Remove an entity; refused while anything still references it."""
@@ -904,14 +903,14 @@ class EntityGraph:
             )
 
     @staticmethod
-    def _check_parent_chain(org: Organization, universe: dict) -> None:
+    def _check_parent_chain(org: Organization, lookup: Callable) -> None:
         seen = {org.id}
         cur = org
         while cur.parent is not None:
             if cur.parent in seen:
                 raise InvariantError(f"Organization {org.id}: parent chain contains a cycle")
             seen.add(cur.parent)
-            nxt = universe.get(cur.parent)
+            nxt = lookup(cur.parent)
             if not isinstance(nxt, Organization):
                 break
             cur = nxt

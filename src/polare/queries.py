@@ -15,7 +15,7 @@ from datetime import date
 from typing import Optional
 
 from .errors import UnknownAgentError
-from .inference import ALL_KINDS, FAMILY, RelationEdge, RelationGraph
+from .inference import FAMILY, RelationEdge, RelationGraph, check_edge_kinds
 
 MAX_DEPTH_CAP = 8
 
@@ -33,12 +33,7 @@ class PathQuery:
             raise ValueError("path query endpoints must differ")
         if not 1 <= self.max_depth <= MAX_DEPTH_CAP:
             raise ValueError(f"max_depth must be in 1..{MAX_DEPTH_CAP}")
-        if self.kinds is not None:
-            kinds = frozenset(self.kinds)
-            unknown = kinds - ALL_KINDS
-            if unknown:
-                raise ValueError(f"unknown edge kinds: {sorted(unknown)}")
-            object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "kinds", check_edge_kinds(self.kinds))
 
 
 @dataclass(frozen=True)
@@ -147,10 +142,7 @@ def neighborhood(
     known = set(rg.agents()) if agents is None else set(agents)
     if agent not in known:
         raise UnknownAgentError(f"no agent {agent}")
-    if kinds is not None:
-        unknown = frozenset(kinds) - ALL_KINDS
-        if unknown:
-            raise ValueError(f"unknown edge kinds: {sorted(unknown)}")
+    kinds = check_edge_kinds(kinds)
     out = RelationGraph()
     dist = {agent: 0}
     frontier = [agent]

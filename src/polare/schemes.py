@@ -54,20 +54,24 @@ def scheme_to_dict(scheme: ConceptScheme) -> dict:
     return {"id": scheme.id, "concepts": concepts}
 
 
-def _read_json(path: Pathish):
+def read_json(path: Pathish):
+    """Parse a UTF-8 JSON file; every failure is a :class:`StoreError`
+    naming the path."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise StoreError(f"{path}: not valid UTF-8: {e}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also the decoder's digit and depth limits
         raise StoreError(f"{path}: invalid JSON: {e}") from e
 
 
 def load_scheme(path: Pathish) -> ConceptScheme:
-    return scheme_from_dict(_read_json(path), str(path))
+    return scheme_from_dict(read_json(path), str(path))
 
 
 def write_scheme(scheme: ConceptScheme, path: Pathish) -> None:
@@ -85,7 +89,7 @@ def load_schemes_dir(path: Pathish) -> tuple:
 
 
 def load_bindings(path: Pathish) -> dict:
-    data = _read_json(path)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise StoreError(f"{path}: bindings must be a JSON object")
     for key, value in data.items():

@@ -13,7 +13,6 @@ typed entity graph; everything downstream works from that graph.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -21,7 +20,7 @@ from .claims import ClaimStore, load_claimstore, read_claims, write_claims
 from .errors import StoreError
 from .mapping import assemble_entities
 from .model import EntityGraph
-from .schemes import load_bindings, load_schemes_dir
+from .schemes import load_bindings, load_schemes_dir, read_json
 from .wire import TripleSet
 
 Pathish = Union[str, Path]
@@ -113,13 +112,7 @@ class Store:
 
 def load_asserters(path: Pathish) -> list:
     """Accepted-asserter file: a JSON array of asserter ids."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise StoreError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise StoreError(f"{path}: invalid JSON: {e}") from e
+    data = read_json(path)
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise StoreError(f"{path}: expected a JSON array of asserter ids")
     return data

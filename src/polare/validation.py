@@ -15,7 +15,8 @@ from typing import Optional, Union
 
 from . import vocab
 from .errors import StoreError
-from .model import Candidacy, EntityGraph, Membership, Post, iter_concept_refs
+from .model import Candidacy, EntityGraph, Membership, Post, iter_concept_refs, overlapping_pairs
+from .schemes import read_json
 from .wire import Literal, id_for_term
 
 EXCLUSIVE_OCCUPANCY = "EXCLUSIVE_OCCUPANCY"
@@ -71,14 +72,7 @@ class ShapeConfig:
 
 
 def load_shape_config(path: Union[str, Path]) -> ShapeConfig:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise StoreError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise StoreError(f"{path}: invalid JSON: {e}") from e
-    return ShapeConfig.from_dict(data, str(path))
+    return ShapeConfig.from_dict(read_json(path), str(path))
 
 
 @dataclass(frozen=True)
@@ -160,23 +154,17 @@ def check_exclusive_occupancy(graph: EntityGraph) -> list:
     for post in graph.of_type(Post):
         if not post.exclusive:
             continue
-        ms = by_post.get(post.id, [])
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                m1, m2 = ms[i], ms[j]
-                if m1.person == m2.person:
-                    continue
-                if m1.interval.overlaps(m2.interval):
-                    first, second = sorted((m1.id, m2.id))
-                    out.append(
-                        Violation(
-                            EXCLUSIVE_OCCUPANCY,
-                            ERROR,
-                            post.id,
-                            (first, second),
-                            "exclusive post occupied by two persons at once",
-                        )
+        for m1, m2 in overlapping_pairs(by_post.get(post.id, [])):
+            if m1.person != m2.person:
+                out.append(
+                    Violation(
+                        EXCLUSIVE_OCCUPANCY,
+                        ERROR,
+                        post.id,
+                        tuple(sorted((m1.id, m2.id))),
+                        "exclusive post occupied by two persons at once",
                     )
+                )
     return out
 
 
@@ -277,22 +265,17 @@ def check_duplicate_membership(graph: EntityGraph, severity: str = WARN) -> list
     out = []
     by_post = _memberships_by_post(graph)
     for ms in by_post.values():
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                m1, m2 = ms[i], ms[j]
-                if m1.person != m2.person:
-                    continue
-                if m1.interval.overlaps(m2.interval):
-                    first, second = sorted((m1.id, m2.id))
-                    out.append(
-                        Violation(
-                            DUPLICATE_MEMBERSHIP,
-                            severity,
-                            m1.person,
-                            (first, second),
-                            "person holds the same post twice in overlapping periods",
-                        )
+        for m1, m2 in overlapping_pairs(ms):
+            if m1.person == m2.person:
+                out.append(
+                    Violation(
+                        DUPLICATE_MEMBERSHIP,
+                        severity,
+                        m1.person,
+                        tuple(sorted((m1.id, m2.id))),
+                        "person holds the same post twice in overlapping periods",
                     )
+                )
     return out
 
 

@@ -76,6 +76,36 @@ def duplicate_membership_by_day_scan(memberships: list) -> set:
     return out
 
 
+def co_membership_by_day_scan(memberships: list, require_overlap: bool) -> dict:
+    """(org, frozenset of two membership ids) -> (frozenset of the two
+    persons, span) for every pair of memberships of distinct persons in
+    posts of the same organization.  With ``require_overlap`` only pairs
+    sharing a day count, and span is their (first, last) shared day, with
+    unbounded sides clamped to the scan window; otherwise span is None.
+
+    memberships: dicts {"id", "person", "org", "start", "end"}.
+    """
+    out = {}
+    for i in range(len(memberships)):
+        for j in range(i + 1, len(memberships)):
+            m1, m2 = memberships[i], memberships[j]
+            if m1["org"] != m2["org"] or m1["person"] == m2["person"]:
+                continue
+            span = None
+            if require_overlap:
+                shared = [
+                    d
+                    for d in day_range(m1["start"], m1["end"])
+                    if covers_day(m2["start"], m2["end"], d)
+                ]
+                if not shared:
+                    continue
+                span = (shared[0], shared[-1])
+            key = (m1["org"], frozenset((m1["id"], m2["id"])))
+            out[key] = (frozenset((m1["person"], m2["person"])), span)
+    return out
+
+
 def interval_contained(outer_start, outer_end, inner_start, inner_end) -> bool:
     """Is [inner] fully inside [outer]?  None means unbounded on that side."""
     if outer_start is not None:

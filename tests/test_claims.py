@@ -306,6 +306,21 @@ class TestClaimFiles:
             read_claims(path)
         assert f"{path}:1:" in str(exc.value)
 
+    @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+    def test_unicode_line_breaks_stay_inside_strings(self, tmp_path, sep):
+        # JSON allows these raw inside a string; only "\n" ends a claim line
+        c = claim(source=f"page{sep}1")
+        raw = json.loads(claim_to_json(c))
+        line = json.dumps(raw, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "claims.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert read_claims(path) == [c]
+        for bad in (b"{not json\n", b"\xff\n"):
+            path.write_bytes((line + "\n").encode("utf-8") + bad)
+            with pytest.raises(StoreError) as exc:
+                read_claims(path)
+            assert f"{path}:2:" in str(exc.value)
+
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "claims.jsonl"
         path.write_bytes(claim_to_json(claim()).encode() + b"\n\xff\xfe\n")

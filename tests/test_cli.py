@@ -76,6 +76,34 @@ class TestValidate:
         assert out_all == out_explicit
 
 
+#: JSON files past the decoder's depth and digit limits, and one not UTF-8
+BAD_JSON = {
+    "deep-nesting": b"[" * 200000 + b"]" * 200000,
+    "huge-integer": b"1" * 5000,
+    "not-utf8": b'{"a": "\xff"}',
+}
+
+
+class TestUnreadableJsonFiles:
+    @pytest.mark.parametrize("content", BAD_JSON.values(), ids=BAD_JSON.keys())
+    @pytest.mark.parametrize("where", ["--config", "--asserters", "scheme", "--prefixes"])
+    def test_usage_error_names_the_file(self, capsys, tmp_path, where, content):
+        store = tmp_path / "store"
+        shutil.copytree(CLEAN, store)
+        bad = store / "schemes" / "zz_bad.json" if where == "scheme" else tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if where == "--prefixes":
+            argv = ["rewrite", "--to-singleton", "--in", str(FIXTURES / "singleton_person.nt"),
+                    "--out", str(tmp_path / "out.nt"), "--prefixes", str(bad)]
+        else:
+            argv = ["validate", "--store", str(store)]
+            if where != "scheme":
+                argv += [where, str(bad)]
+        code, _, err = run(capsys, *argv)  # an escaping exception would be a traceback
+        assert code == 2
+        assert err.startswith(f"error: {bad}: ")
+
+
 class TestIngest:
     def test_ingest_into_fresh_store(self, capsys, tmp_path):
         store_dir = tmp_path / "store"

@@ -66,9 +66,10 @@ from .genfixtures import (
     concept_ids,
     new_graph,
     random_entity_graph,
+    random_occupancy_fixture,
     random_party_memberships,
 )
-from .oracles import affiliation_by_scan, pair_count
+from .oracles import SCAN_MAX, SCAN_MIN, affiliation_by_scan, co_membership_by_day_scan, pair_count
 
 ROLE = concept_ids(ROLE_SCHEME)[0]
 COMPANY = next(c for c in concept_ids(CLASS_SCHEME) if c.endswith("company"))
@@ -384,6 +385,23 @@ class TestCoMembership:
             (date(2015, 1, 1), None), (date(2015, 1, 1), None), same_org=False
         )
         assert len(co_membership_edges(g, require_overlap=False)) == 0
+
+    @pytest.mark.parametrize("require_overlap", [True, False])
+    def test_random_pairs_agree_with_day_scan(self, require_overlap):
+        rng = random.Random(3141 + require_overlap)
+        for _ in range(150):
+            g, _, mems = random_occupancy_fixture(rng)
+            for m in mems:
+                m["org"] = g.get(m["post"]).organization
+            edges = co_membership_edges(g, require_overlap)
+            got = {}
+            for e in edges:
+                span = None
+                if e.interval is not None:
+                    span = (e.interval.start or SCAN_MIN, e.interval.end or SCAN_MAX)
+                got[(e.detail, frozenset(e.evidence))] = (frozenset((e.a, e.b)), span)
+            assert len(got) == len(edges)
+            assert got == co_membership_by_day_scan(mems, require_overlap)
 
     def test_same_person_never_pairs_with_self(self):
         g = new_graph()

@@ -1,8 +1,12 @@
 import random
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polare.errors import (
     DanglingReferenceError,
@@ -28,8 +32,8 @@ from polare.model import (
     Post,
     TimeInterval,
     Transaction,
-    interval_in_effect,
     iter_references,
+    overlapping_pairs,
 )
 
 from .genfixtures import ALL_SCHEMES, BINDINGS, FAMILY_SCHEME, random_entity_graph
@@ -48,11 +52,6 @@ class TestTimeInterval:
         assert TimeInterval(date(2015, 1, 1), None).in_effect(date(2999, 1, 1))
         assert TimeInterval(None, date(2015, 1, 1)).in_effect(date(1000, 1, 1))
         assert TimeInterval(None, None).in_effect(date(2020, 6, 1))
-
-    def test_module_level_wrapper_agrees(self):
-        iv = TimeInterval(date(2015, 1, 1), date(2015, 1, 2))
-        for d in (date(2014, 12, 31), date(2015, 1, 1), date(2015, 1, 3)):
-            assert interval_in_effect(iv, d) == iv.in_effect(d)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(InvariantError):
@@ -101,6 +100,36 @@ class TestTimeInterval:
                 )
             a, b = rand_iv(), rand_iv()
             assert a.overlaps(b) == (a.intersection(b) is not None)
+
+
+@st.composite
+def window_intervals(draw):
+    """Intervals on a 16-day window, so equal starts, shared boundary days and
+    one-day terms are common; either bound may be open."""
+    start = draw(st.none() | st.integers(0, 15))
+    length = draw(st.none() | st.integers(0, 4))  # 0 is a one-day term
+    base = date(2020, 1, 1)
+    end = None if length is None else (start or 0) + length
+    return TimeInterval(
+        None if start is None else base + timedelta(days=start),
+        None if end is None else base + timedelta(days=end),
+    )
+
+
+class TestOverlappingPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(window_intervals(), max_size=14))
+    def test_reports_exactly_the_overlapping_pairs(self, intervals):
+        items = [SimpleNamespace(id=i, interval=iv) for i, iv in enumerate(intervals)]
+        got = [frozenset((a.id, b.id)) for a, b in overlapping_pairs(items)]
+        want = {
+            frozenset((a.id, b.id))
+            for a, b in combinations(items, 2)
+            if a.interval.overlaps(b.interval)
+        }
+        assert len(got) == len(set(got))  # each pair once
+        assert all(len(pair) == 2 for pair in got)  # never an item with itself
+        assert set(got) == want
 
 
 class TestEntityInvariants:
@@ -206,6 +235,21 @@ class TestEntityGraph:
         # order intentionally reversed: add_all stages the whole batch
         g.add_all([m, post, org, Person("x:p", "P")])
         assert g.get("x:m") is m
+
+    def test_add_self_parent_is_a_cycle(self):
+        # add is add_all of one: the organization is staged before its
+        # references resolve, so a parent equal to its own id is a cycle
+        g = EntityGraph()
+        with pytest.raises(InvariantError, match="parent chain contains a cycle"):
+            g.add(Organization("x:o", "O", parent="x:o"))
+        assert "x:o" not in g and len(g) == 0
+
+    def test_rejected_batch_leaves_graph_unchanged(self):
+        g = EntityGraph()
+        g.add(Person("x:p", "P"))
+        with pytest.raises(DanglingReferenceError):
+            g.add_all([Person("x:q", "Q"), Membership("x:m", "x:q", "x:missing-post")])
+        assert g.entities() == [Person("x:p", "P")]
 
     def test_add_all_allow_dangling(self):
         g = EntityGraph()
