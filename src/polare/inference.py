@@ -11,6 +11,7 @@ a given date, and does that match what the voter rolls recorded.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -20,6 +21,7 @@ from typing import Iterable, Optional
 
 from . import vocab
 from .errors import AmbiguousAffiliationError, InvariantError, UnknownAgentError
+from .mapping import interval_triples
 from .model import (
     Candidacy,
     DirectRel,
@@ -37,7 +39,6 @@ from .model import (
 )
 from .wire import (
     XSD_BOOLEAN,
-    XSD_DATE,
     Iri,
     Literal,
     Triple,
@@ -176,7 +177,6 @@ class RelationGraph:
 class InferenceConfig:
     require_overlap: bool = True
     kinds: Optional[frozenset] = None  # None = every kind
-    party_classification: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", check_edge_kinds(self.kinds))
@@ -374,25 +374,20 @@ def candidacy_post_edges(graph: EntityGraph) -> list:
 def materialize(graph: EntityGraph, cfg: Optional[InferenceConfig] = None) -> RelationGraph:
     """Union of every enabled generator, deduplicated."""
     cfg = cfg or InferenceConfig()
+    co_membership = functools.partial(co_membership_edges, require_overlap=cfg.require_overlap)
+    generators = (
+        (FAMILY, family_edges),
+        (CO_MEMBERSHIP, co_membership),
+        (REFERRAL, referral_edges),
+        (CO_TRANSACTION, co_transaction_edges),
+        (CO_CASE, co_case_edges),
+        (CANDIDACY_POST, candidacy_post_edges),
+    )
     rg = RelationGraph()
-    if cfg.enabled(FAMILY):
-        for e in family_edges(graph):
-            rg.add(e)
-    if cfg.enabled(CO_MEMBERSHIP):
-        for e in co_membership_edges(graph, cfg.require_overlap):
-            rg.add(e)
-    if cfg.enabled(REFERRAL):
-        for e in referral_edges(graph):
-            rg.add(e)
-    if cfg.enabled(CO_TRANSACTION):
-        for e in co_transaction_edges(graph):
-            rg.add(e)
-    if cfg.enabled(CO_CASE):
-        for e in co_case_edges(graph):
-            rg.add(e)
-    if cfg.enabled(CANDIDACY_POST):
-        for e in candidacy_post_edges(graph):
-            rg.add(e)
+    for kind, generate in generators:
+        if cfg.enabled(kind):
+            for e in generate(graph):
+                rg.add(e)
     return rg
 
 
@@ -451,21 +446,5 @@ def edges_to_triples(rg: RelationGraph) -> TripleSet:
         )
         for ev in e.evidence:
             ts.add(Triple(node, Iri(vocab.POLREL_EVIDENCE), term_for_id(ev)))
-        if e.interval is not None:
-            if e.interval.start is not None:
-                ts.add(
-                    Triple(
-                        node,
-                        Iri(vocab.SCHEMA_START_DATE),
-                        Literal(e.interval.start.isoformat(), XSD_DATE),
-                    )
-                )
-            if e.interval.end is not None:
-                ts.add(
-                    Triple(
-                        node,
-                        Iri(vocab.SCHEMA_END_DATE),
-                        Literal(e.interval.end.isoformat(), XSD_DATE),
-                    )
-                )
+        ts.update(interval_triples(node, e.interval))
     return ts

@@ -1,52 +1,33 @@
 """Mapping between typed entities and their triple representation.
 
-One declarative table drives both directions, so ``assemble_entities`` and
-``emit_entities`` stay exact inverses.  Unknown vocabulary is never dropped:
-whatever ``assemble_entities`` cannot map ends up in ``graph.residue``.
+The field table in :mod:`polare.model` (``TYPE_SPECS``) drives both
+directions, so ``assemble_entities`` and ``emit_entities`` stay exact
+inverses.  Unknown vocabulary is never dropped: whatever
+``assemble_entities`` cannot map ends up in ``graph.residue``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import vocab
 from .errors import MissingFieldError, TypeConflictError, ValueParseError
 from .model import (
-    Asset,
-    CampaignReport,
-    Candidacy,
-    DirectRel,
-    Election,
+    SPEC_BY_CLASS,
+    TYPE_SPECS,
     EntityGraph,
-    Group,
-    Law,
-    LegalCase,
-    Membership,
-    Organization,
+    FieldSpec,
     Participation,
-    Person,
-    Post,
-    PropertyReport,
-    Proposition,
-    Recommendation,
-    Referral,
-    Session,
     TimeInterval,
-    Transaction,
     TransactionObject,
-    Vote,
-    VoteEvent,
-    Voter,
 )
 from .wire import (
     XSD_BOOLEAN,
     XSD_DATE,
     XSD_DECIMAL,
     XSD_STRING,
-    BlankNode,
     Iri,
     Literal,
     Triple,
@@ -58,218 +39,13 @@ from .wire import (
 _RDF_TYPE = Iri(vocab.RDF_TYPE)
 
 
-@dataclass(frozen=True)
-class _Field:
-    attr: str
-    pred: str
-    kind: str  # ref | concept | string | date | decimal | boolean
-    required: bool = True
-    multi: bool = False
-    default: object = None
-
-
-@dataclass(frozen=True)
-class _TypeSpec:
-    cls: type
-    type_iri: Optional[str]  # None: transaction objects are typed by their kind
-    fields: tuple
-    interval_attr: Optional[str] = None
-    interval_optional: bool = False
-    participants: bool = False
-
-
-_SPECS = (
-    _TypeSpec(Person, vocab.FOAF_PERSON, (_Field("name", vocab.FOAF_NAME, "string"),)),
-    _TypeSpec(
-        Organization,
-        vocab.ORG_ORGANIZATION,
-        (
-            _Field("name", vocab.FOAF_NAME, "string"),
-            _Field("classification", vocab.ORG_CLASSIFICATION, "concept", required=False),
-            _Field("parent", vocab.ORG_SUB_ORGANIZATION_OF, "ref", required=False),
-        ),
-    ),
-    _TypeSpec(
-        Group,
-        vocab.FOAF_GROUP,
-        (
-            _Field("name", vocab.FOAF_NAME, "string"),
-            _Field("members", vocab.FOAF_MEMBER, "ref", required=False, multi=True),
-        ),
-    ),
-    _TypeSpec(
-        Post,
-        vocab.ORG_POST,
-        (
-            _Field("organization", vocab.ORG_POST_IN, "ref"),
-            _Field("role", vocab.ORG_ROLE, "concept"),
-            _Field("exclusive", vocab.POL_EXCLUSIVE, "boolean", required=False, default=True),
-        ),
-        interval_attr="interval",
-    ),
-    _TypeSpec(
-        Membership,
-        vocab.ORG_MEMBERSHIP,
-        (
-            _Field("person", vocab.ORG_MEMBER, "ref"),
-            _Field("post", vocab.POL_HAS_POST, "ref"),
-        ),
-        interval_attr="interval",
-    ),
-    _TypeSpec(
-        DirectRel,
-        vocab.POL_DIRECT_REL,
-        (
-            _Field("subject", vocab.POL_REL_SOURCE, "ref"),
-            _Field("object", vocab.POL_REL_TARGET, "ref"),
-            _Field("relation", vocab.POL_DIRECT_REL_PROP, "concept"),
-        ),
-        interval_attr="interval",
-        interval_optional=True,
-    ),
-    _TypeSpec(
-        Referral,
-        vocab.POL_REFERRAL,
-        (
-            _Field("referrer", vocab.POL_REFERRER, "ref"),
-            _Field("referred", vocab.POL_REFERRED, "ref"),
-            _Field("post", vocab.POL_POST_PROP, "ref"),
-            _Field("date", vocab.DC_DATE, "date", required=False),
-        ),
-    ),
-    _TypeSpec(
-        Proposition,
-        vocab.POL_PROPOSITION,
-        (
-            _Field("creators", vocab.DC_CREATOR, "ref", multi=True),
-            _Field("title", vocab.DC_TITLE, "string", required=False),
-        ),
-    ),
-    _TypeSpec(
-        Law,
-        vocab.POL_LAW,
-        (
-            _Field("proposition", vocab.POL_FROM_PROPOSITION, "ref"),
-            _Field("enacted", vocab.POL_ENACTED_ON, "date"),
-        ),
-    ),
-    _TypeSpec(Session, vocab.POL_SESSION, (_Field("date", vocab.DC_DATE, "date"),)),
-    _TypeSpec(
-        VoteEvent,
-        vocab.POL_VOTE_EVENT,
-        (
-            _Field("session", vocab.POL_SESSION_PROP, "ref"),
-            _Field("proposition", vocab.POL_PROPOSITION_PROP, "ref"),
-            _Field("disposition", vocab.POL_DISPOSITION, "concept"),
-            _Field("start", vocab.SCHEMA_START_DATE, "date"),
-        ),
-    ),
-    _TypeSpec(
-        Voter,
-        vocab.POL_VOTER,
-        (
-            _Field("person", vocab.POL_PERSON_PROP, "ref"),
-            _Field("party", vocab.POL_PARTY, "ref"),
-        ),
-    ),
-    _TypeSpec(
-        Vote,
-        vocab.POL_VOTE,
-        (
-            _Field("vote_event", vocab.POL_VOTE_EVENT_PROP, "ref"),
-            _Field("voter", vocab.POL_VOTER_PROP, "ref"),
-            _Field("value", vocab.POL_VOTE_PROP, "concept"),
-        ),
-    ),
-    _TypeSpec(
-        Recommendation,
-        vocab.POL_RECOMMENDATION,
-        (
-            _Field("issuer", vocab.POL_ISSUED_BY, "ref"),
-            _Field("vote_event", vocab.POL_VOTE_EVENT_PROP, "ref"),
-            _Field("recommended", vocab.POL_RECOMMENDS, "concept"),
-        ),
-    ),
-    _TypeSpec(
-        Election,
-        vocab.POL_ELECTION,
-        (
-            _Field("date", vocab.DC_DATE, "date"),
-            _Field("posts", vocab.POL_ELECTS_POST, "ref", multi=True),
-        ),
-    ),
-    _TypeSpec(
-        Candidacy,
-        vocab.POL_CANDIDACY,
-        (
-            _Field("person", vocab.POL_CANDIDATE, "ref"),
-            _Field("election", vocab.POL_ELECTION_PROP, "ref"),
-            _Field("post", vocab.POL_POST_PROP, "ref"),
-            _Field("campaign_report", vocab.POL_CAMPAIGN_REPORT_PROP, "ref", required=False),
-            _Field("property_report", vocab.POL_PROPERTY_REPORT_PROP, "ref", required=False),
-        ),
-    ),
-    _TypeSpec(
-        TransactionObject,
-        None,
-        (_Field("description", vocab.SCHEMA_DESCRIPTION, "string", required=False, default=""),),
-    ),
-    _TypeSpec(
-        Transaction,
-        vocab.POL_TRANSACTION,
-        (
-            _Field("object", vocab.POL_TRANSACTION_OBJECT, "ref"),
-            _Field("amount", vocab.POL_AMOUNT, "decimal"),
-            _Field("currency", vocab.POL_CURRENCY, "string"),
-            _Field("date", vocab.DC_DATE, "date"),
-        ),
-        participants=True,
-    ),
-    _TypeSpec(
-        CampaignReport,
-        vocab.POL_CAMPAIGN_REPORT,
-        (
-            _Field("candidacy", vocab.POL_CANDIDACY_PROP, "ref"),
-            _Field("transactions", vocab.POL_TRANSACTION_PROP, "ref", required=False, multi=True),
-        ),
-    ),
-    _TypeSpec(
-        Asset,
-        vocab.POL_ASSET,
-        (
-            _Field("owner", vocab.POL_OWNER, "ref"),
-            _Field("description", vocab.SCHEMA_DESCRIPTION, "string", required=False, default=""),
-            _Field("value", vocab.POL_VALUE, "decimal", required=False),
-            _Field("acquired_via", vocab.POL_ACQUIRED_VIA, "ref", required=False),
-        ),
-    ),
-    _TypeSpec(
-        PropertyReport,
-        vocab.POL_PROPERTY_REPORT,
-        (
-            _Field("candidacy", vocab.POL_CANDIDACY_PROP, "ref"),
-            _Field("assets", vocab.POL_ASSET_PROP, "ref", required=False, multi=True),
-        ),
-    ),
-    _TypeSpec(
-        LegalCase,
-        vocab.POL_LEGAL_CASE,
-        (),
-        interval_attr="interval",
-        interval_optional=True,
-        participants=True,
-    ),
-)
-
-_SPEC_BY_CLS = {s.cls: s for s in _SPECS}
-
 #: type-marker IRI -> (spec, transaction-object kind or None)
 TYPE_MARKERS = {}
-for _s in _SPECS:
+for _s in TYPE_SPECS:
     if _s.type_iri is not None:
         TYPE_MARKERS[_s.type_iri] = (_s, None)
-TYPE_MARKERS[vocab.SCHEMA_PRODUCT] = (_SPEC_BY_CLS[TransactionObject], "product")
-TYPE_MARKERS[vocab.SCHEMA_SERVICE] = (_SPEC_BY_CLS[TransactionObject], "service")
+TYPE_MARKERS[vocab.SCHEMA_PRODUCT] = (SPEC_BY_CLASS[TransactionObject], "product")
+TYPE_MARKERS[vocab.SCHEMA_SERVICE] = (SPEC_BY_CLASS[TransactionObject], "service")
 
 
 def _value_term(kind: str, value):
@@ -324,9 +100,20 @@ def _participant_node_id(parent_id: str, index: int) -> str:
     return f"{parent_id}/p{index}"
 
 
+def interval_triples(subject, interval: Optional[TimeInterval]) -> list:
+    """The start and end date triples of ``interval`` about the term
+    ``subject``: none for an absent interval, none for an open bound."""
+    if interval is None:
+        return []
+    bounds = ((vocab.SCHEMA_START_DATE, interval.start), (vocab.SCHEMA_END_DATE, interval.end))
+    return [
+        Triple(subject, Iri(pred), _value_term("date", d)) for pred, d in bounds if d is not None
+    ]
+
+
 def triples_for_entity(entity) -> list:
     """The exact triples ``emit_entities`` produces for one entity."""
-    spec = _SPEC_BY_CLS[type(entity)]
+    spec = SPEC_BY_CLASS[type(entity)]
     subj = term_for_id(entity.id)
     if spec.type_iri is not None:
         type_iri = spec.type_iri
@@ -342,16 +129,7 @@ def triples_for_entity(entity) -> list:
             if value is not None:
                 out.append(Triple(subj, Iri(fld.pred), _value_term(fld.kind, value)))
     if spec.interval_attr is not None:
-        interval = getattr(entity, spec.interval_attr)
-        if interval is not None:
-            if interval.start is not None:
-                out.append(
-                    Triple(subj, Iri(vocab.SCHEMA_START_DATE), _value_term("date", interval.start))
-                )
-            if interval.end is not None:
-                out.append(
-                    Triple(subj, Iri(vocab.SCHEMA_END_DATE), _value_term("date", interval.end))
-                )
+        out.extend(interval_triples(subj, getattr(entity, spec.interval_attr)))
     if spec.participants:
         for i, part in enumerate(entity.participants):
             node = term_for_id(_participant_node_id(entity.id, i))
@@ -369,7 +147,10 @@ def emit_entities(graph: EntityGraph) -> TripleSet:
     return ts
 
 
-class _Assembler:
+class SubjectIndex:
+    """The triples of a set by subject id and predicate, recording which
+    ones a reader has taken."""
+
     def __init__(self, ts: TripleSet):
         self.by_subject: dict = {}  # subject id -> pred iri -> [(term, triple)]
         self.consumed: set = set()
@@ -388,7 +169,7 @@ class _Assembler:
             self.consumed.add(t)
         return [term for term, _ in pairs]
 
-    def take_single(self, sid: str, fld: _Field):
+    def take_single(self, sid: str, fld: FieldSpec):
         terms = self.take(sid, fld.pred)
         if not terms:
             if fld.required:
@@ -443,7 +224,7 @@ def assemble_entities(ts: TripleSet, schemes=(), bindings: Optional[dict] = None
     ``graph.dangling_refs()`` to see them.
     """
     graph = EntityGraph(schemes, bindings or {})
-    asm = _Assembler(ts)
+    asm = SubjectIndex(ts)
 
     typed: dict = {}
     for t in ts:

@@ -2,6 +2,13 @@
 electoral entities, concept schemes, day-granular time intervals, and the
 entity graph that holds them all.
 
+One field table, :data:`TYPE_SPECS`, describes every field of every entity
+class: its wire predicate, its value kind and, for references, the classes
+it may point to.  The entity id checks, :func:`iter_references`,
+:func:`iter_concept_refs`, :data:`BINDING_KEYS` and the wire mapping in
+:mod:`polare.mapping` all derive from it; each class's ``__post_init__``
+adds only its own invariants.
+
 All domain values are immutable after construction.  The graph itself is
 mutated only through :meth:`EntityGraph.add_all` (which
 :meth:`EntityGraph.add` calls with a batch of one) and
@@ -13,11 +20,12 @@ own, so each insert costs the size of the batch, not of the graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+from . import vocab
 from .errors import (
     DanglingReferenceError,
     DuplicateIdError,
@@ -56,9 +64,7 @@ def _check_date(value, owner: str, optional: bool = False):
     return value
 
 
-def _check_decimal(value, owner: str, optional: bool = False):
-    if value is None and optional:
-        return None
+def _check_decimal(value, owner: str):
     if isinstance(value, float):
         raise InvariantError(f"{owner}: amounts use decimal arithmetic, not float ({value!r})")
     try:
@@ -194,9 +200,30 @@ class ConceptScheme:
             raise UnknownConceptError(f"scheme {self.id} has no concept {concept_id}") from None
 
 
-def _sorted_ids(values, owner: str) -> tuple:
-    out = sorted({check_entity_id(v, owner) for v in values})
-    return tuple(out)
+def _check_fields(entity) -> None:
+    """Check the id and every ref, concept, date and decimal field that the
+    field table lists for the entity's class; decimals are stored as
+    ``Decimal`` and multi-valued fields as a tuple the class normalizes."""
+    check_entity_id(entity.id, type(entity).__name__)
+    for fld in SPEC_BY_CLASS[type(entity)].fields:
+        value = getattr(entity, fld.attr)
+        if fld.multi:
+            value = tuple(value or ())  # a one-shot iterable is read only here
+            object.__setattr__(entity, fld.attr, value)
+            for v in value:
+                check_entity_id(v, fld.key)
+        elif value is None and not fld.required:
+            continue
+        elif fld.kind in ("ref", "concept"):
+            check_entity_id(value, fld.key)
+        elif fld.kind == "date":
+            _check_date(value, fld.key)
+        elif fld.kind == "decimal":
+            object.__setattr__(entity, fld.attr, _check_decimal(value, fld.key))
+
+
+def _sorted_ids(values) -> tuple:
+    return tuple(sorted(set(values)))
 
 
 @dataclass(frozen=True)
@@ -205,7 +232,7 @@ class Person:
     name: str
 
     def __post_init__(self):
-        check_entity_id(self.id, "Person")
+        _check_fields(self)
         if not self.name:
             raise InvariantError(f"Person {self.id}: name must be non-empty")
 
@@ -217,12 +244,7 @@ class Organization:
     classification: Optional[str] = None  # concept id
     parent: Optional[str] = None  # parent organization id
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Organization")
-        if self.classification is not None:
-            check_entity_id(self.classification, "Organization.classification")
-        if self.parent is not None:
-            check_entity_id(self.parent, "Organization.parent")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -232,10 +254,8 @@ class Group:
     members: frozenset = frozenset()  # person ids
 
     def __post_init__(self):
-        check_entity_id(self.id, "Group")
-        object.__setattr__(
-            self, "members", frozenset(check_entity_id(m, "Group.members") for m in self.members)
-        )
+        _check_fields(self)
+        object.__setattr__(self, "members", frozenset(self.members))
 
 
 @dataclass(frozen=True)
@@ -249,10 +269,7 @@ class Post:
     interval: TimeInterval = TimeInterval()
     exclusive: bool = True
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Post")
-        check_entity_id(self.organization, "Post.organization")
-        check_entity_id(self.role, "Post.role")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -265,10 +282,7 @@ class Membership:
     post: str
     interval: TimeInterval = TimeInterval()
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Membership")
-        check_entity_id(self.person, "Membership.person")
-        check_entity_id(self.post, "Membership.post")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -283,10 +297,7 @@ class DirectRel:
     interval: Optional[TimeInterval] = None
 
     def __post_init__(self):
-        check_entity_id(self.id, "DirectRel")
-        check_entity_id(self.subject, "DirectRel.subject")
-        check_entity_id(self.object, "DirectRel.object")
-        check_entity_id(self.relation, "DirectRel.relation")
+        _check_fields(self)
         if self.subject == self.object:
             raise InvariantError(f"DirectRel {self.id}: relates {self.subject} to itself")
         # an interval with no bounds carries no information; canonicalize to None
@@ -304,12 +315,7 @@ class Referral:
     post: str
     date: Optional[date] = None
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Referral")
-        check_entity_id(self.referrer, "Referral.referrer")
-        check_entity_id(self.referred, "Referral.referred")
-        check_entity_id(self.post, "Referral.post")
-        _check_date(self.date, "Referral.date", optional=True)
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -319,10 +325,10 @@ class Proposition:
     title: Optional[str] = None
 
     def __post_init__(self):
-        check_entity_id(self.id, "Proposition")
+        _check_fields(self)
         if not self.creators:
             raise InvariantError(f"Proposition {self.id}: needs at least one creator")
-        object.__setattr__(self, "creators", _sorted_ids(self.creators, "Proposition.creators"))
+        object.__setattr__(self, "creators", _sorted_ids(self.creators))
 
 
 @dataclass(frozen=True)
@@ -331,10 +337,7 @@ class Law:
     proposition: str
     enacted: date
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Law")
-        check_entity_id(self.proposition, "Law.proposition")
-        _check_date(self.enacted, "Law.enacted")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -342,9 +345,7 @@ class Session:
     id: str
     date: date
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Session")
-        _check_date(self.date, "Session.date")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -358,12 +359,7 @@ class VoteEvent:
     disposition: str  # concept id
     start: date
 
-    def __post_init__(self):
-        check_entity_id(self.id, "VoteEvent")
-        check_entity_id(self.session, "VoteEvent.session")
-        check_entity_id(self.proposition, "VoteEvent.proposition")
-        check_entity_id(self.disposition, "VoteEvent.disposition")
-        _check_date(self.start, "VoteEvent.start")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -375,10 +371,7 @@ class Voter:
     person: str
     party: str  # organization id
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Voter")
-        check_entity_id(self.person, "Voter.person")
-        check_entity_id(self.party, "Voter.party")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -388,11 +381,7 @@ class Vote:
     voter: str
     value: str  # concept id
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Vote")
-        check_entity_id(self.vote_event, "Vote.vote_event")
-        check_entity_id(self.voter, "Vote.voter")
-        check_entity_id(self.value, "Vote.value")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -402,11 +391,7 @@ class Recommendation:
     vote_event: str
     recommended: str  # concept id
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Recommendation")
-        check_entity_id(self.issuer, "Recommendation.issuer")
-        check_entity_id(self.vote_event, "Recommendation.vote_event")
-        check_entity_id(self.recommended, "Recommendation.recommended")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -416,13 +401,10 @@ class Election:
     posts: frozenset  # post ids
 
     def __post_init__(self):
-        check_entity_id(self.id, "Election")
-        _check_date(self.date, "Election.date")
+        _check_fields(self)
         if not self.posts:
             raise InvariantError(f"Election {self.id}: defines no posts")
-        object.__setattr__(
-            self, "posts", frozenset(check_entity_id(p, "Election.posts") for p in self.posts)
-        )
+        object.__setattr__(self, "posts", frozenset(self.posts))
 
 
 @dataclass(frozen=True)
@@ -434,15 +416,7 @@ class Candidacy:
     campaign_report: Optional[str] = None
     property_report: Optional[str] = None
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Candidacy")
-        check_entity_id(self.person, "Candidacy.person")
-        check_entity_id(self.election, "Candidacy.election")
-        check_entity_id(self.post, "Candidacy.post")
-        if self.campaign_report is not None:
-            check_entity_id(self.campaign_report, "Candidacy.campaign_report")
-        if self.property_report is not None:
-            check_entity_id(self.property_report, "Candidacy.property_report")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -452,7 +426,7 @@ class TransactionObject:
     description: str = ""
 
     def __post_init__(self):
-        check_entity_id(self.id, "TransactionObject")
+        _check_fields(self)
         if self.kind not in ("product", "service"):
             raise InvariantError(f"TransactionObject {self.id}: kind must be product or service")
 
@@ -491,19 +465,15 @@ class Transaction:
     date: date
 
     def __post_init__(self):
-        check_entity_id(self.id, "Transaction")
-        check_entity_id(self.object, "Transaction.object")
+        _check_fields(self)
         parts = _norm_participants(self.participants)
         if len({p.agent for p in parts}) < 2:
             raise InvariantError(f"Transaction {self.id}: needs at least two distinct agents")
         object.__setattr__(self, "participants", parts)
-        amount = _check_decimal(self.amount, f"Transaction {self.id}")
-        if amount < 0:
-            raise InvariantError(f"Transaction {self.id}: negative amount {amount}")
-        object.__setattr__(self, "amount", amount)
+        if self.amount < 0:
+            raise InvariantError(f"Transaction {self.id}: negative amount {self.amount}")
         if not _CURRENCY_RE.match(self.currency):
             raise InvariantError(f"Transaction {self.id}: bad currency code {self.currency!r}")
-        _check_date(self.date, f"Transaction {self.id}.date")
 
 
 @dataclass(frozen=True)
@@ -513,14 +483,8 @@ class CampaignReport:
     transactions: tuple = ()  # transaction ids, stored sorted
 
     def __post_init__(self):
-        check_entity_id(self.id, "CampaignReport")
-        check_entity_id(self.candidacy, "CampaignReport.candidacy")
-        if self.transactions:
-            object.__setattr__(
-                self, "transactions", _sorted_ids(self.transactions, "CampaignReport.transactions")
-            )
-        else:
-            object.__setattr__(self, "transactions", ())
+        _check_fields(self)
+        object.__setattr__(self, "transactions", _sorted_ids(self.transactions))
 
 
 @dataclass(frozen=True)
@@ -531,12 +495,7 @@ class Asset:
     value: Optional[Decimal] = None
     acquired_via: Optional[str] = None  # transaction-object id
 
-    def __post_init__(self):
-        check_entity_id(self.id, "Asset")
-        check_entity_id(self.owner, "Asset.owner")
-        object.__setattr__(self, "value", _check_decimal(self.value, f"Asset {self.id}", optional=True))
-        if self.acquired_via is not None:
-            check_entity_id(self.acquired_via, "Asset.acquired_via")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -546,12 +505,8 @@ class PropertyReport:
     assets: tuple = ()  # asset ids, stored sorted
 
     def __post_init__(self):
-        check_entity_id(self.id, "PropertyReport")
-        check_entity_id(self.candidacy, "PropertyReport.candidacy")
-        if self.assets:
-            object.__setattr__(self, "assets", _sorted_ids(self.assets, "PropertyReport.assets"))
-        else:
-            object.__setattr__(self, "assets", ())
+        _check_fields(self)
+        object.__setattr__(self, "assets", _sorted_ids(self.assets))
 
 
 @dataclass(frozen=True)
@@ -561,7 +516,7 @@ class LegalCase:
     interval: Optional[TimeInterval] = None
 
     def __post_init__(self):
-        check_entity_id(self.id, "LegalCase")
+        _check_fields(self)
         parts = _norm_participants(self.participants)
         if not parts:
             raise InvariantError(f"LegalCase {self.id}: needs at least one participant")
@@ -601,113 +556,311 @@ Agent = Union[Person, Organization, Group]
 Entity = Union[ENTITY_CLASSES]
 
 
-def iter_references(e) -> Iterator[tuple]:
-    """Yield (field, referenced id, allowed target classes) for every
-    entity reference the value carries."""
-    if isinstance(e, Organization):
-        if e.parent is not None:
-            yield ("parent", e.parent, (Organization,))
-    elif isinstance(e, Group):
-        for m in sorted(e.members):
-            yield ("members", m, (Person,))
-    elif isinstance(e, Post):
-        yield ("organization", e.organization, (Organization,))
-    elif isinstance(e, Membership):
-        yield ("person", e.person, (Person,))
-        yield ("post", e.post, (Post,))
-    elif isinstance(e, DirectRel):
-        yield ("subject", e.subject, (Person,))
-        yield ("object", e.object, (Person,))
-    elif isinstance(e, Referral):
-        yield ("referrer", e.referrer, AGENT_CLASSES)
-        yield ("referred", e.referred, (Person,))
-        yield ("post", e.post, (Post,))
-    elif isinstance(e, Proposition):
-        for c in e.creators:
-            yield ("creators", c, (Person,))
-    elif isinstance(e, Law):
-        yield ("proposition", e.proposition, (Proposition,))
-    elif isinstance(e, VoteEvent):
-        yield ("session", e.session, (Session,))
-        yield ("proposition", e.proposition, (Proposition,))
-    elif isinstance(e, Voter):
-        yield ("person", e.person, (Person,))
-        yield ("party", e.party, (Organization,))
-    elif isinstance(e, Vote):
-        yield ("vote_event", e.vote_event, (VoteEvent,))
-        yield ("voter", e.voter, (Voter,))
-    elif isinstance(e, Recommendation):
-        yield ("issuer", e.issuer, (Group,))
-        yield ("vote_event", e.vote_event, (VoteEvent,))
-    elif isinstance(e, Election):
-        for p in sorted(e.posts):
-            yield ("posts", p, (Post,))
-    elif isinstance(e, Candidacy):
-        yield ("person", e.person, (Person,))
-        yield ("election", e.election, (Election,))
-        yield ("post", e.post, (Post,))
-        if e.campaign_report is not None:
-            yield ("campaign_report", e.campaign_report, (CampaignReport,))
-        if e.property_report is not None:
-            yield ("property_report", e.property_report, (PropertyReport,))
-    elif isinstance(e, Transaction):
-        for p in e.participants:
-            yield ("participants", p.agent, AGENT_CLASSES)
-        yield ("object", e.object, (TransactionObject,))
-    elif isinstance(e, CampaignReport):
-        yield ("candidacy", e.candidacy, (Candidacy,))
-        for t in e.transactions:
-            yield ("transactions", t, (Transaction,))
-    elif isinstance(e, Asset):
-        yield ("owner", e.owner, (Person,))
-        if e.acquired_via is not None:
-            yield ("acquired_via", e.acquired_via, (TransactionObject,))
-    elif isinstance(e, PropertyReport):
-        yield ("candidacy", e.candidacy, (Candidacy,))
-        for a in e.assets:
-            yield ("assets", a, (Asset,))
-    elif isinstance(e, LegalCase):
-        for p in e.participants:
-            yield ("participants", p.agent, AGENT_CLASSES)
+# -- the field table ---------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """One entity field: its attribute, wire predicate and value kind."""
+
+    attr: str
+    pred: str
+    kind: str  # ref | concept | string | date | decimal | boolean
+    required: bool = True
+    multi: bool = False
+    default: object = None
+    targets: tuple = ()  # ref fields: the classes the referenced id may resolve to
+    key: str = ""  # "<Cls>.<attr>", set by the owning TypeSpec
+
+
+@dataclass(frozen=True)
+class TypeSpec:
+    """One entity class: its type marker, its fields in wire order, and
+    whether it carries an interval and participants."""
+
+    cls: type
+    type_iri: Optional[str]  # None: transaction objects are typed by their kind
+    fields: tuple
+    interval_attr: Optional[str] = None
+    interval_optional: bool = False
+    participants: bool = False
+
+    def __post_init__(self):
+        name = self.cls.__name__
+        object.__setattr__(
+            self, "fields", tuple(replace(f, key=f"{name}.{f.attr}") for f in self.fields)
+        )
+
+    @property
+    def role_key(self) -> str:
+        """Binding key of the participants' roles."""
+        return f"{self.cls.__name__}.role"
+
+
+#: The one description of every entity field.  The id checks, reference and
+#: concept iteration, the binding keys and the wire mapping all read it.
+TYPE_SPECS = (
+    TypeSpec(Person, vocab.FOAF_PERSON, (FieldSpec("name", vocab.FOAF_NAME, "string"),)),
+    TypeSpec(
+        Organization,
+        vocab.ORG_ORGANIZATION,
+        (
+            FieldSpec("name", vocab.FOAF_NAME, "string"),
+            FieldSpec("classification", vocab.ORG_CLASSIFICATION, "concept", required=False),
+            FieldSpec(
+                "parent",
+                vocab.ORG_SUB_ORGANIZATION_OF,
+                "ref",
+                required=False,
+                targets=(Organization,),
+            ),
+        ),
+    ),
+    TypeSpec(
+        Group,
+        vocab.FOAF_GROUP,
+        (
+            FieldSpec("name", vocab.FOAF_NAME, "string"),
+            FieldSpec(
+                "members", vocab.FOAF_MEMBER, "ref", required=False, multi=True, targets=(Person,)
+            ),
+        ),
+    ),
+    TypeSpec(
+        Post,
+        vocab.ORG_POST,
+        (
+            FieldSpec("organization", vocab.ORG_POST_IN, "ref", targets=(Organization,)),
+            FieldSpec("role", vocab.ORG_ROLE, "concept"),
+            FieldSpec("exclusive", vocab.POL_EXCLUSIVE, "boolean", required=False, default=True),
+        ),
+        interval_attr="interval",
+    ),
+    TypeSpec(
+        Membership,
+        vocab.ORG_MEMBERSHIP,
+        (
+            FieldSpec("person", vocab.ORG_MEMBER, "ref", targets=(Person,)),
+            FieldSpec("post", vocab.POL_HAS_POST, "ref", targets=(Post,)),
+        ),
+        interval_attr="interval",
+    ),
+    TypeSpec(
+        DirectRel,
+        vocab.POL_DIRECT_REL,
+        (
+            FieldSpec("subject", vocab.POL_REL_SOURCE, "ref", targets=(Person,)),
+            FieldSpec("object", vocab.POL_REL_TARGET, "ref", targets=(Person,)),
+            FieldSpec("relation", vocab.POL_DIRECT_REL_PROP, "concept"),
+        ),
+        interval_attr="interval",
+        interval_optional=True,
+    ),
+    TypeSpec(
+        Referral,
+        vocab.POL_REFERRAL,
+        (
+            FieldSpec("referrer", vocab.POL_REFERRER, "ref", targets=AGENT_CLASSES),
+            FieldSpec("referred", vocab.POL_REFERRED, "ref", targets=(Person,)),
+            FieldSpec("post", vocab.POL_POST_PROP, "ref", targets=(Post,)),
+            FieldSpec("date", vocab.DC_DATE, "date", required=False),
+        ),
+    ),
+    TypeSpec(
+        Proposition,
+        vocab.POL_PROPOSITION,
+        (
+            FieldSpec("creators", vocab.DC_CREATOR, "ref", multi=True, targets=(Person,)),
+            FieldSpec("title", vocab.DC_TITLE, "string", required=False),
+        ),
+    ),
+    TypeSpec(
+        Law,
+        vocab.POL_LAW,
+        (
+            FieldSpec("proposition", vocab.POL_FROM_PROPOSITION, "ref", targets=(Proposition,)),
+            FieldSpec("enacted", vocab.POL_ENACTED_ON, "date"),
+        ),
+    ),
+    TypeSpec(Session, vocab.POL_SESSION, (FieldSpec("date", vocab.DC_DATE, "date"),)),
+    TypeSpec(
+        VoteEvent,
+        vocab.POL_VOTE_EVENT,
+        (
+            FieldSpec("session", vocab.POL_SESSION_PROP, "ref", targets=(Session,)),
+            FieldSpec("proposition", vocab.POL_PROPOSITION_PROP, "ref", targets=(Proposition,)),
+            FieldSpec("disposition", vocab.POL_DISPOSITION, "concept"),
+            FieldSpec("start", vocab.SCHEMA_START_DATE, "date"),
+        ),
+    ),
+    TypeSpec(
+        Voter,
+        vocab.POL_VOTER,
+        (
+            FieldSpec("person", vocab.POL_PERSON_PROP, "ref", targets=(Person,)),
+            FieldSpec("party", vocab.POL_PARTY, "ref", targets=(Organization,)),
+        ),
+    ),
+    TypeSpec(
+        Vote,
+        vocab.POL_VOTE,
+        (
+            FieldSpec("vote_event", vocab.POL_VOTE_EVENT_PROP, "ref", targets=(VoteEvent,)),
+            FieldSpec("voter", vocab.POL_VOTER_PROP, "ref", targets=(Voter,)),
+            FieldSpec("value", vocab.POL_VOTE_PROP, "concept"),
+        ),
+    ),
+    TypeSpec(
+        Recommendation,
+        vocab.POL_RECOMMENDATION,
+        (
+            FieldSpec("issuer", vocab.POL_ISSUED_BY, "ref", targets=(Group,)),
+            FieldSpec("vote_event", vocab.POL_VOTE_EVENT_PROP, "ref", targets=(VoteEvent,)),
+            FieldSpec("recommended", vocab.POL_RECOMMENDS, "concept"),
+        ),
+    ),
+    TypeSpec(
+        Election,
+        vocab.POL_ELECTION,
+        (
+            FieldSpec("date", vocab.DC_DATE, "date"),
+            FieldSpec("posts", vocab.POL_ELECTS_POST, "ref", multi=True, targets=(Post,)),
+        ),
+    ),
+    TypeSpec(
+        Candidacy,
+        vocab.POL_CANDIDACY,
+        (
+            FieldSpec("person", vocab.POL_CANDIDATE, "ref", targets=(Person,)),
+            FieldSpec("election", vocab.POL_ELECTION_PROP, "ref", targets=(Election,)),
+            FieldSpec("post", vocab.POL_POST_PROP, "ref", targets=(Post,)),
+            FieldSpec(
+                "campaign_report",
+                vocab.POL_CAMPAIGN_REPORT_PROP,
+                "ref",
+                required=False,
+                targets=(CampaignReport,),
+            ),
+            FieldSpec(
+                "property_report",
+                vocab.POL_PROPERTY_REPORT_PROP,
+                "ref",
+                required=False,
+                targets=(PropertyReport,),
+            ),
+        ),
+    ),
+    TypeSpec(
+        TransactionObject,
+        None,
+        (FieldSpec("description", vocab.SCHEMA_DESCRIPTION, "string", required=False, default=""),),
+    ),
+    TypeSpec(
+        Transaction,
+        vocab.POL_TRANSACTION,
+        (
+            FieldSpec("object", vocab.POL_TRANSACTION_OBJECT, "ref", targets=(TransactionObject,)),
+            FieldSpec("amount", vocab.POL_AMOUNT, "decimal"),
+            FieldSpec("currency", vocab.POL_CURRENCY, "string"),
+            FieldSpec("date", vocab.DC_DATE, "date"),
+        ),
+        participants=True,
+    ),
+    TypeSpec(
+        CampaignReport,
+        vocab.POL_CAMPAIGN_REPORT,
+        (
+            FieldSpec("candidacy", vocab.POL_CANDIDACY_PROP, "ref", targets=(Candidacy,)),
+            FieldSpec(
+                "transactions",
+                vocab.POL_TRANSACTION_PROP,
+                "ref",
+                required=False,
+                multi=True,
+                targets=(Transaction,),
+            ),
+        ),
+    ),
+    TypeSpec(
+        Asset,
+        vocab.POL_ASSET,
+        (
+            FieldSpec("owner", vocab.POL_OWNER, "ref", targets=(Person,)),
+            FieldSpec(
+                "description", vocab.SCHEMA_DESCRIPTION, "string", required=False, default=""
+            ),
+            FieldSpec("value", vocab.POL_VALUE, "decimal", required=False),
+            FieldSpec(
+                "acquired_via",
+                vocab.POL_ACQUIRED_VIA,
+                "ref",
+                required=False,
+                targets=(TransactionObject,),
+            ),
+        ),
+    ),
+    TypeSpec(
+        PropertyReport,
+        vocab.POL_PROPERTY_REPORT,
+        (
+            FieldSpec("candidacy", vocab.POL_CANDIDACY_PROP, "ref", targets=(Candidacy,)),
+            FieldSpec(
+                "assets", vocab.POL_ASSET_PROP, "ref", required=False, multi=True, targets=(Asset,)
+            ),
+        ),
+    ),
+    TypeSpec(
+        LegalCase,
+        vocab.POL_LEGAL_CASE,
+        (),
+        interval_attr="interval",
+        interval_optional=True,
+        participants=True,
+    ),
+)
+
+SPEC_BY_CLASS = {s.cls: s for s in TYPE_SPECS}
 
 #: field keys the scheme-binding table may constrain
 BINDING_KEYS = frozenset(
-    {
-        "Organization.classification",
-        "Post.role",
-        "DirectRel.relation",
-        "VoteEvent.disposition",
-        "Vote.value",
-        "Recommendation.recommended",
-        "Transaction.role",
-        "LegalCase.role",
-    }
+    [f.key for s in TYPE_SPECS for f in s.fields if f.kind == "concept"]
+    + [s.role_key for s in TYPE_SPECS if s.participants]
 )
+
+
+def _field_values(e, fld: FieldSpec):
+    """The values a ref or concept field holds, sorted when multi-valued."""
+    value = getattr(e, fld.attr)
+    if fld.multi:
+        return sorted(value)
+    return () if value is None else (value,)
+
+
+def iter_references(e) -> Iterator[tuple]:
+    """Yield (field, referenced id, allowed target classes) for every
+    entity reference the value carries: participants' agents first, then
+    the ref fields in table order, multi-valued ones sorted."""
+    spec = SPEC_BY_CLASS[type(e)]
+    if spec.participants:
+        for p in e.participants:
+            yield ("participants", p.agent, AGENT_CLASSES)
+    for fld in spec.fields:
+        if fld.kind == "ref":
+            for ref in _field_values(e, fld):
+                yield (fld.attr, ref, fld.targets)
 
 
 def iter_concept_refs(e) -> Iterator[tuple]:
     """Yield (binding key, concept id) for every concept-valued field, using
     the same keys the scheme-binding table uses."""
-    if isinstance(e, Organization):
-        if e.classification is not None:
-            yield ("Organization.classification", e.classification)
-    elif isinstance(e, Post):
-        yield ("Post.role", e.role)
-    elif isinstance(e, DirectRel):
-        yield ("DirectRel.relation", e.relation)
-    elif isinstance(e, VoteEvent):
-        yield ("VoteEvent.disposition", e.disposition)
-    elif isinstance(e, Vote):
-        yield ("Vote.value", e.value)
-    elif isinstance(e, Recommendation):
-        yield ("Recommendation.recommended", e.recommended)
-    elif isinstance(e, Transaction):
+    spec = SPEC_BY_CLASS[type(e)]
+    if spec.participants:
         for p in e.participants:
-            yield ("Transaction.role", p.role)
-    elif isinstance(e, LegalCase):
-        for p in e.participants:
-            yield ("LegalCase.role", p.role)
+            yield (spec.role_key, p.role)
+    for fld in spec.fields:
+        if fld.kind == "concept":
+            for concept_id in _field_values(e, fld):
+                yield (fld.key, concept_id)
 
 
 class EntityGraph:

@@ -11,14 +11,13 @@ bookkeeping again instead of treating it as data.
 
 from __future__ import annotations
 
-from datetime import date
 from typing import Optional
 
 from . import vocab
 from .errors import AmbiguousSingletonError, OrphanSingletonError, ValueParseError
-from .mapping import assemble_entities, triples_for_entity
-from .model import EntityGraph, Membership, TimeInterval
-from .wire import XSD_DATE, Iri, Literal, Triple, TripleSet, id_for_term, term_for_id
+from .mapping import SubjectIndex, assemble_entities, interval_triples, triples_for_entity
+from .model import EntityGraph, Membership
+from .wire import Iri, Literal, Triple, TripleSet, id_for_term, term_for_id
 
 SINGLETON_SUFFIX = "_sp"
 
@@ -57,49 +56,13 @@ def to_singleton(graph: EntityGraph) -> TripleSet:
         ts.add(Triple(p_m, _RDF_TYPE, _NAMED_INDIVIDUAL))
         ts.add(Triple(p_m, _RDF_TYPE, _OBJECT_PROPERTY))
         ts.add(Triple(p_m, _RDF_TYPE, _MEMBERSHIP_TYPE))
-        if m.interval.start is not None:
-            ts.add(
-                Triple(
-                    p_m,
-                    Iri(vocab.SCHEMA_START_DATE),
-                    Literal(m.interval.start.isoformat(), XSD_DATE),
-                )
-            )
-        if m.interval.end is not None:
-            ts.add(
-                Triple(
-                    p_m,
-                    Iri(vocab.SCHEMA_END_DATE),
-                    Literal(m.interval.end.isoformat(), XSD_DATE),
-                )
-            )
+        ts.update(interval_triples(p_m, m.interval))
         ts.add(Triple(p_m, _SPO, _OCCUPIES))
     if memberships:
         ts.add(Triple(_OCCUPIES, _RDF_TYPE, _NAMED_INDIVIDUAL))
         ts.add(Triple(_OCCUPIES, _RDF_TYPE, _OBJECT_PROPERTY))
     ts.update(getattr(graph, "residue", ()))
     return ts
-
-
-def _interval_from(pairs, subject: str) -> TimeInterval:
-    starts = [t for t in pairs if t.predicate.value == vocab.SCHEMA_START_DATE]
-    ends = [t for t in pairs if t.predicate.value == vocab.SCHEMA_END_DATE]
-    if len(starts) > 1 or len(ends) > 1:
-        raise ValueParseError(subject, "multiple start or end dates")
-
-    def as_date(t: Triple):
-        obj = t.object
-        if not isinstance(obj, Literal) or obj.datatype != XSD_DATE:
-            raise ValueParseError(subject, f"expected an {XSD_DATE} literal")
-        try:
-            return date.fromisoformat(obj.lexical)
-        except ValueError:
-            raise ValueParseError(subject, f"bad date literal {obj.lexical!r}") from None
-
-    return TimeInterval(
-        as_date(starts[0]) if starts else None,
-        as_date(ends[0]) if ends else None,
-    )
 
 
 def from_singleton(ts: TripleSet, schemes=(), bindings: Optional[dict] = None) -> EntityGraph:
@@ -126,7 +89,7 @@ def from_singleton(ts: TripleSet, schemes=(), bindings: Optional[dict] = None) -
         if t.predicate.value in statements:
             statements[t.predicate.value].append(t)
 
-    consumed = set()
+    index = SubjectIndex(ts)
     memberships = []
     occupies_seen = False
     for sid in sorted(declarations):
@@ -144,29 +107,22 @@ def from_singleton(ts: TripleSet, schemes=(), bindings: Optional[dict] = None) -
             raise ValueParseError(sid, "membership statement object must be an IRI or blank node")
         person_id = id_for_term(statement.subject)
         post_id = id_for_term(statement.object)
-        own = [t for t in ts if id_for_term(t.subject) == sid]
-        interval = _interval_from(own, sid)
+        interval = index.take_interval(sid, optional=False)
         # invert the deterministic minting rule so a full rewrite cycle is the
         # identity; foreign singleton names are kept as-is
         mid = sid[: -len(SINGLETON_SUFFIX)] if sid.endswith(SINGLETON_SUFFIX) else sid
         memberships.append(Membership(mid, person_id, post_id, interval))
-        consumed.add(statement)
-        consumed.add(decl)
-        for t in own:
-            if t.predicate.value in (vocab.SCHEMA_START_DATE, vocab.SCHEMA_END_DATE):
-                consumed.add(t)
-            elif t.predicate == _RDF_TYPE and t.object in (
-                _NAMED_INDIVIDUAL,
-                _OBJECT_PROPERTY,
-                _MEMBERSHIP_TYPE,
-            ):
-                consumed.add(t)
-        consumed.add(Triple(statement.subject, _RDF_TYPE, _NAMED_INDIVIDUAL))
+        index.consumed.update(
+            (statement, decl, Triple(statement.subject, _RDF_TYPE, _NAMED_INDIVIDUAL))
+        )
+        for term, t in index.values(sid, vocab.RDF_TYPE):
+            if term in (_NAMED_INDIVIDUAL, _OBJECT_PROPERTY, _MEMBERSHIP_TYPE):
+                index.consumed.add(t)
     if occupies_seen:
-        consumed.add(Triple(_OCCUPIES, _RDF_TYPE, _NAMED_INDIVIDUAL))
-        consumed.add(Triple(_OCCUPIES, _RDF_TYPE, _OBJECT_PROPERTY))
+        index.consumed.add(Triple(_OCCUPIES, _RDF_TYPE, _NAMED_INDIVIDUAL))
+        index.consumed.add(Triple(_OCCUPIES, _RDF_TYPE, _OBJECT_PROPERTY))
 
-    remaining = TripleSet(t for t in ts if t not in consumed)
+    remaining = TripleSet(t for t in ts if t not in index.consumed)
     graph = assemble_entities(remaining, schemes, bindings)
     graph.add_all(memberships, allow_dangling=True)
     return graph

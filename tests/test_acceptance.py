@@ -312,3 +312,25 @@ def test_determinism(report):
         and run_twice(["export", "--store", store], outfile="full.nt")
     )
     report(ok, "validate, infer and export produce byte-identical reruns")
+
+
+def test_fixtures_are_reproducible(report, tmp_path, capsys):
+    """scripts/make_fixtures.py regenerates every shipped fixture byte for
+    byte, so the committed files are what the emitter writes today."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("make_fixtures", REPO / "scripts" / "make_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.FIXTURES = tmp_path
+    module.main()
+    capsys.readouterr()  # main() names the directory it wrote
+
+    def listing(root: Path) -> dict:
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    shipped, regenerated = listing(FIXTURES), listing(tmp_path)
+    report(
+        len(shipped) == 22 and regenerated == shipped,
+        "scripts/make_fixtures.py reproduces all 22 fixture files byte for byte",
+    )

@@ -77,6 +77,21 @@ class TestAssembly:
                 ':m schema:startDate "not-a-date"^^xsd:date .\n'
             )
 
+    @pytest.mark.parametrize(
+        "dates",
+        [
+            ':m schema:startDate "2015-01-01"^^xsd:date .\n:m schema:startDate "2015-02-01"^^xsd:date .\n',
+            ':m schema:startDate "2015-01-01" .\n',
+            ':m schema:endDate :someday .\n',
+            ':m schema:endDate "2015-02-30"^^xsd:date .\n',
+        ],
+        ids=["duplicate-start", "string-start", "iri-end", "bad-date-end"],
+    )
+    def test_bad_interval_names_the_entity(self, dates):
+        with pytest.raises(ValueParseError) as info:
+            assemble(":m rdf:type org:Membership .\n:m org:member :j .\n:m pol:hasPost :s .\n" + dates)
+        assert info.value.subject == "http://x/m"
+
     def test_bad_decimal_literal(self):
         with pytest.raises(ValueParseError):
             assemble(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from polare.errors import AmbiguousSingletonError, OrphanSingletonError
+from polare.errors import AmbiguousSingletonError, OrphanSingletonError, ValueParseError
 from polare.mapping import assemble_entities, emit_entities
 from polare.model import Membership, Person, TimeInterval
 from polare.singleton import SINGLETON_SUFFIX, from_singleton, singleton_iri, to_singleton
@@ -86,6 +86,24 @@ class TestFromSingleton:
         assert g.of_type(Membership) == []
         preds = {t.predicate.value for t in g.residue}
         assert "http://polare.org/ns#knows_1" in {t.subject.value for t in g.residue} | preds
+
+
+    @pytest.mark.parametrize(
+        "dates",
+        [
+            ':occupies_1 schema:startDate "2015-01-01"^^xsd:date .\n'
+            ':occupies_1 schema:startDate "2015-02-01"^^xsd:date .\n',
+            ':occupies_1 schema:startDate "2015-01-01" .\n',
+            ":occupies_1 schema:endDate :someday .\n",
+            ':occupies_1 schema:endDate "2015-02-30"^^xsd:date .\n',
+        ],
+        ids=["duplicate-start", "string-start", "iri-end", "bad-date-end"],
+    )
+    def test_bad_interval_names_the_singleton(self, dates):
+        text = ":john :occupies_1 :Post_1 .\n:occupies_1 :singletonPropertyOf :occupies .\n" + dates
+        with pytest.raises(ValueParseError) as info:
+            from_singleton(parse_triples(text, NS))
+        assert info.value.subject == "http://polare.org/ns#occupies_1"
 
 
 class TestToSingleton:
