@@ -95,7 +95,6 @@ from .validation import (
 )
 from .inference import (
     ALL_KINDS,
-    InferenceConfig,
     RelationEdge,
     RelationGraph,
     VoterCheck,

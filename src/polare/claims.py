@@ -73,9 +73,6 @@ class Claim:
         digest.update(b"\x00" + self.timestamp.isoformat().encode("utf-8"))
         object.__setattr__(self, "id", "urn:claim:" + digest.hexdigest())
 
-    def triples(self) -> TripleSet:
-        return TripleSet(self.assertion)
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -84,7 +81,7 @@ class Provenance:
 
 
 class ClaimStore:
-    """Append-only collection of claims with a triple ownership index.
+    """Append-only collection of claims; its ownership index is its triple set.
 
     Single writer: ownership depends on ingest order, so concurrent ingests
     must be serialized by the caller.  Reads never mutate.
@@ -92,10 +89,8 @@ class ClaimStore:
 
     def __init__(self):
         self._claims: dict = {}  # claim id -> Claim, in ingest order
-        self._owner: dict = {}  # Triple -> claim id
+        self._owner: dict = {}  # Triple -> claim id, in first-assertion order
         self._corroborators: dict = {}  # Triple -> [claim id]
-        self._owned: dict = {}  # claim id -> tuple of Triple
-        self._corroborated: dict = {}  # claim id -> tuple of Triple
 
     def __len__(self) -> int:
         return len(self._claims)
@@ -126,17 +121,10 @@ class ClaimStore:
         cid = claim.id
         if cid in self._claims:
             return cid
-        owned = []
-        corroborated = []
         for t in claim.assertion:
-            if self._owner.setdefault(t, cid) == cid:
-                owned.append(t)
-            else:
+            if self._owner.setdefault(t, cid) != cid:
                 self._corroborators.setdefault(t, []).append(cid)
-                corroborated.append(t)
         self._claims[cid] = claim
-        self._owned[cid] = tuple(owned)
-        self._corroborated[cid] = tuple(corroborated)
         return cid
 
     def ingest(self, assertion, asserter: str, source: str, timestamp: datetime) -> str:
@@ -144,12 +132,10 @@ class ClaimStore:
         return self.add(Claim(asserter, source, timestamp, tuple(assertion)))
 
     def owned_triples(self, claim_id: str) -> tuple:
-        self.claim(claim_id)
-        return self._owned[claim_id]
+        return tuple(t for t in self.claim(claim_id).assertion if self._owner[t] == claim_id)
 
     def corroborated_triples(self, claim_id: str) -> tuple:
-        self.claim(claim_id)
-        return self._corroborated[claim_id]
+        return tuple(t for t in self.claim(claim_id).assertion if self._owner[t] != claim_id)
 
     def provenance_of(self, t: Triple) -> Provenance:
         """Owner claim plus corroborating claims; empty for unseen triples."""
@@ -161,10 +147,7 @@ class ClaimStore:
 
     def triples(self) -> TripleSet:
         """Every distinct triple across all claims, first-assertion order."""
-        ts = TripleSet()
-        for claim in self._claims.values():
-            ts.update(claim.assertion)
-        return ts
+        return TripleSet(self._owner)
 
     def view_by_asserters(self, accepted: Iterable) -> TripleSet:
         """Union of the assertions of every claim by an accepted asserter."""

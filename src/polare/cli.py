@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import PolareError, StoreError
 from .claims import read_claims
-from .inference import InferenceConfig, edges_to_jsonl, materialize
+from .inference import edges_to_jsonl, materialize
 from .mapping import assemble_entities, emit_entities
 from .queries import PathQuery, find_paths, neighborhood, paths_to_jsonl
 from .schemes import read_json
@@ -72,8 +72,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_infer(args) -> int:
     graph = Store(args.store).require().graph()
-    cfg = InferenceConfig(require_overlap=not args.no_overlap_required)
-    rg = materialize(graph, cfg)
+    rg = materialize(graph, require_overlap=not args.no_overlap_required)
     Path(args.out).write_text(edges_to_jsonl(rg), encoding="utf-8")
     return 0
 

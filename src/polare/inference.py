@@ -2,7 +2,7 @@
 
 Each generator turns one entity pattern into typed edges: family ties,
 shared organizations, referrals, shared transactions, shared legal cases
-and contested posts.  ``materialize`` unions the enabled generators into a
+and contested posts.  ``materialize`` unions the generators into a
 deduplicated :class:`RelationGraph` with deterministic ordering.
 
 Also hosts temporal affiliation resolution: which party was a person in on
@@ -171,18 +171,6 @@ class RelationGraph:
                 continue
             out.add(e)
         return out
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    require_overlap: bool = True
-    kinds: Optional[frozenset] = None  # None = every kind
-
-    def __post_init__(self):
-        object.__setattr__(self, "kinds", check_edge_kinds(self.kinds))
-
-    def enabled(self, kind: str) -> bool:
-        return self.kinds is None or kind in self.kinds
 
 
 # -- temporal affiliation ----------------------------------------------------
@@ -371,23 +359,21 @@ def candidacy_post_edges(graph: EntityGraph) -> list:
     return out
 
 
-def materialize(graph: EntityGraph, cfg: Optional[InferenceConfig] = None) -> RelationGraph:
-    """Union of every enabled generator, deduplicated."""
-    cfg = cfg or InferenceConfig()
-    co_membership = functools.partial(co_membership_edges, require_overlap=cfg.require_overlap)
+def materialize(graph: EntityGraph, require_overlap: bool = True) -> RelationGraph:
+    """Union of every generator, deduplicated; ``require_overlap`` is passed
+    to :func:`co_membership_edges`."""
     generators = (
-        (FAMILY, family_edges),
-        (CO_MEMBERSHIP, co_membership),
-        (REFERRAL, referral_edges),
-        (CO_TRANSACTION, co_transaction_edges),
-        (CO_CASE, co_case_edges),
-        (CANDIDACY_POST, candidacy_post_edges),
+        family_edges,
+        functools.partial(co_membership_edges, require_overlap=require_overlap),
+        referral_edges,
+        co_transaction_edges,
+        co_case_edges,
+        candidacy_post_edges,
     )
     rg = RelationGraph()
-    for kind, generate in generators:
-        if cfg.enabled(kind):
-            for e in generate(graph):
-                rg.add(e)
+    for generate in generators:
+        for e in generate(graph):
+            rg.add(e)
     return rg
 
 

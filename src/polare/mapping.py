@@ -179,15 +179,13 @@ class SubjectIndex:
             raise ValueParseError(sid, f"{fld.attr}: {len(terms)} values for a single-valued field")
         return _term_value(fld.kind, terms[0], sid, fld.attr)
 
-    def take_interval(self, sid: str, optional: bool):
+    def take_interval(self, sid: str) -> TimeInterval:
         starts = self.take(sid, vocab.SCHEMA_START_DATE)
         ends = self.take(sid, vocab.SCHEMA_END_DATE)
         if len(starts) > 1 or len(ends) > 1:
             raise ValueParseError(sid, "multiple start or end dates")
         start = _term_value("date", starts[0], sid, "interval.start") if starts else None
         end = _term_value("date", ends[0], sid, "interval.end") if ends else None
-        if start is None and end is None and optional:
-            return None
         return TimeInterval(start, end)
 
     def take_participants(self, sid: str) -> list:
@@ -264,7 +262,7 @@ def assemble_entities(ts: TripleSet, schemes=(), bindings: Optional[dict] = None
             else:
                 kwargs[fld.attr] = asm.take_single(sid, fld)
         if spec.interval_attr is not None:
-            kwargs[spec.interval_attr] = asm.take_interval(sid, spec.interval_optional)
+            kwargs[spec.interval_attr] = asm.take_interval(sid)
         if spec.participants:
             kwargs["participants"] = tuple(asm.take_participants(sid))
         entities.append(spec.cls(**kwargs))

@@ -37,7 +37,7 @@ from .errors import (
 
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 _CURRENCY_RE = re.compile(r"^[A-Z]{3}$")
-_IRI_FORBIDDEN = set(' \t\n\r<>"')
+_IRI_FORBIDDEN = frozenset(' \t\n\r<>"')
 
 
 def check_entity_id(value, owner: str = "id") -> str:
@@ -51,7 +51,7 @@ def check_entity_id(value, owner: str = "id") -> str:
         return value
     if ":" not in value:
         raise InvariantError(f"{owner}: IRI id {value!r} lacks a scheme separator ':'")
-    if any(c in _IRI_FORBIDDEN for c in value):
+    if not _IRI_FORBIDDEN.isdisjoint(value):
         raise InvariantError(f"{owner}: id {value!r} contains characters not allowed in an IRI")
     return value
 
@@ -114,6 +114,9 @@ class TimeInterval:
         if self.end is not None and (other.end is None or other.end > self.end):
             return False
         return True
+
+
+_NO_PERIOD = TimeInterval()
 
 
 def overlapping_pairs(items: Iterable) -> Iterator[tuple]:
@@ -201,11 +204,23 @@ class ConceptScheme:
 
 
 def _check_fields(entity) -> None:
-    """Check the id and every ref, concept, date and decimal field that the
-    field table lists for the entity's class; decimals are stored as
-    ``Decimal`` and multi-valued fields as a tuple the class normalizes."""
+    """Check the id, the interval and every ref, concept, date and decimal
+    field that the field table lists for the entity's class; decimals are
+    stored as ``Decimal``, multi-valued fields as a tuple the class
+    normalizes, and a period without bounds as ``TimeInterval()`` or, where
+    the class's interval is optional, as None."""
+    spec = SPEC_BY_CLASS[type(entity)]
     check_entity_id(entity.id, type(entity).__name__)
-    for fld in SPEC_BY_CLASS[type(entity)].fields:
+    if spec.interval_attr is not None:
+        value = getattr(entity, spec.interval_attr)
+        if value is None or value == _NO_PERIOD:
+            value = None if spec.interval_optional else _NO_PERIOD
+            object.__setattr__(entity, spec.interval_attr, value)
+        elif not isinstance(value, TimeInterval):
+            raise InvariantError(
+                f"{type(entity).__name__}.{spec.interval_attr}: not a TimeInterval: {value!r}"
+            )
+    for fld in spec.fields:
         value = getattr(entity, fld.attr)
         if fld.multi:
             value = tuple(value or ())  # a one-shot iterable is read only here
@@ -300,9 +315,6 @@ class DirectRel:
         _check_fields(self)
         if self.subject == self.object:
             raise InvariantError(f"DirectRel {self.id}: relates {self.subject} to itself")
-        # an interval with no bounds carries no information; canonicalize to None
-        if self.interval is not None and self.interval == TimeInterval():
-            object.__setattr__(self, "interval", None)
 
 
 @dataclass(frozen=True)
@@ -521,8 +533,6 @@ class LegalCase:
         if not parts:
             raise InvariantError(f"LegalCase {self.id}: needs at least one participant")
         object.__setattr__(self, "participants", parts)
-        if self.interval is not None and self.interval == TimeInterval():
-            object.__setattr__(self, "interval", None)
 
 
 AGENT_CLASSES = (Person, Organization, Group)

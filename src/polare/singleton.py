@@ -107,7 +107,7 @@ def from_singleton(ts: TripleSet, schemes=(), bindings: Optional[dict] = None) -
             raise ValueParseError(sid, "membership statement object must be an IRI or blank node")
         person_id = id_for_term(statement.subject)
         post_id = id_for_term(statement.object)
-        interval = index.take_interval(sid, optional=False)
+        interval = index.take_interval(sid)
         # invert the deterministic minting rule so a full rewrite cycle is the
         # identity; foreign singleton names are kept as-is
         mid = sid[: -len(SINGLETON_SUFFIX)] if sid.endswith(SINGLETON_SUFFIX) else sid

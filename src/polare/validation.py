@@ -175,8 +175,6 @@ def check_membership_within_post(graph: EntityGraph, severity: str = WARN) -> li
         post = graph.get(m.post)
         if not isinstance(post, Post):
             continue
-        if post.interval is None:  # post without a period accepts any dates
-            continue
         if not post.interval.contains(m.interval):
             out.append(
                 Violation(

@@ -108,9 +108,9 @@ class TripleSet:
     __slots__ = ("_items",)
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._items: dict = {}
-        for t in triples:
-            self.add(t)
+        # from a dict, such as ClaimStore's ownership index, this copies the
+        # stored hashes and hashes no triple
+        self._items: dict = dict.fromkeys(triples)
 
     def add(self, t: Triple) -> bool:
         size = len(self._items)
@@ -118,12 +118,7 @@ class TripleSet:
         return len(self._items) > size
 
     def update(self, triples: Iterable[Triple]) -> None:
-        for t in triples:
-            self.add(t)
-
-    def difference(self, other: Iterable[Triple]) -> "TripleSet":
-        drop = set(other)
-        return TripleSet(t for t in self._items if t not in drop)
+        self._items.update(dict.fromkeys(triples))
 
     def __contains__(self, t: Triple) -> bool:
         return t in self._items
@@ -137,7 +132,7 @@ class TripleSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripleSet):
             return NotImplemented
-        return set(self._items) == set(other._items)
+        return self._items.keys() == other._items.keys()
 
     def __repr__(self) -> str:
         return f"TripleSet({len(self._items)} triples)"

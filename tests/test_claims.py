@@ -138,6 +138,22 @@ class TestIngest:
         assert set(cs.owned_triples(cid)) == {tr(2)}
         assert set(cs.corroborated_triples(cid)) == {tr(1)}
 
+    def test_triples_copy_the_ownership_index_without_hashing(self, monkeypatch):
+        cs = ClaimStore()
+        cs.ingest([tr(3), tr(1)], "http://x/a", "s", T0)
+        cs.ingest([tr(1), tr(2), tr(3)], "http://x/b", "s", T0)
+        calls = []
+        original = Triple.__hash__
+
+        def counting_hash(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(Triple, "__hash__", counting_hash)
+        got = cs.triples()
+        assert calls == []
+        assert list(got) == [tr(1), tr(3), tr(2)]  # first-assertion order
+
     def test_every_triple_has_exactly_one_owner(self):
         rng = random.Random(2020)
         cs = ClaimStore()

@@ -13,7 +13,6 @@ from polare.inference import (
     CO_TRANSACTION,
     FAMILY,
     REFERRAL,
-    InferenceConfig,
     RelationEdge,
     RelationGraph,
     VoterCheck,
@@ -50,6 +49,7 @@ from polare.model import (
     VoteEvent,
     Voter,
 )
+from polare.validation import validate_graph
 from polare.wire import Iri
 
 from .genfixtures import (
@@ -380,6 +380,18 @@ class TestCoMembership:
         g2, *_ = self.colleagues(*spans)
         assert len(co_membership_edges(g2, require_overlap=False)) == 1
 
+    def test_membership_given_no_interval_is_open(self):
+        g = new_graph()
+        a, b = person(g, "a"), person(g, "b")
+        post = seat(g, org(g, "o"), "s", exclusive=False)
+        member(g, a, post, date(2015, 1, 1), None)
+        g.add(Membership("x:m-open", b.id, post.id, None))
+        assert g.get("x:m-open").interval == TimeInterval()
+        assert validate_graph(g).conforms
+        (e,) = materialize(g).edges()
+        assert e.kind == CO_MEMBERSHIP
+        assert e.interval == TimeInterval(date(2015, 1, 1), None)
+
     def test_different_orgs_never_pair(self):
         g, *_ = self.colleagues(
             (date(2015, 1, 1), None), (date(2015, 1, 1), None), same_org=False
@@ -559,17 +571,10 @@ class TestMaterialize:
                 want.add(e)
             assert rg == want
 
-    def test_kind_gating(self):
-        rng = random.Random(556)
-        g = random_entity_graph(rng, max_entities=80)
-        cfg = InferenceConfig(kinds=frozenset({CO_TRANSACTION}))
-        rg = materialize(g, cfg)
-        assert all(e.kind == CO_TRANSACTION for e in rg.edges())
-
     def test_require_overlap_flag_passes_through(self):
         spans = ((date(2015, 1, 1), date(2015, 12, 31)), (date(2016, 1, 1), None))
         g, *_ = TestCoMembership().colleagues(*spans)
-        assert len(materialize(g, InferenceConfig(require_overlap=False)).edges()) == 1
+        assert len(materialize(g, require_overlap=False).edges()) == 1
         assert len(materialize(g).edges()) == 0
 
     def test_rename_isomorphism(self):

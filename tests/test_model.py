@@ -25,6 +25,7 @@ from polare.model import (
     DirectRel,
     EntityGraph,
     Group,
+    LegalCase,
     Membership,
     Organization,
     Participation,
@@ -132,11 +133,37 @@ class TestOverlappingPairs:
         assert set(got) == want
 
 
+#: each class with an interval, the arguments before it, and how it stores
+#: a period without bounds
+INTERVAL_CLASSES = [
+    (Post, ("x:p", "x:o", "x:r"), TimeInterval()),
+    (Membership, ("x:m", "x:a", "x:p"), TimeInterval()),
+    (DirectRel, ("x:d", "x:a", "x:b", "x:r"), None),
+    (LegalCase, ("x:c", (Participation("x:a", "x:r"),)), None),
+]
+INTERVAL_IDS = [cls.__name__ for cls, _, _ in INTERVAL_CLASSES]
+
+
 class TestEntityInvariants:
     def test_blank_ids_rejected(self):
         for bad in ("", "   ", "\t"):
             with pytest.raises(InvariantError):
                 Person(bad, "X")
+
+    @pytest.mark.parametrize("char", [" ", "\t", "\n", "\r", "<", ">", '"'])
+    def test_iri_id_with_forbidden_character_rejected(self, char):
+        with pytest.raises(InvariantError, match=r"^Membership\.person: id .* not allowed"):
+            Membership("x:m", f"x:pe{char}rson", "x:p")
+
+    @pytest.mark.parametrize("cls, args, empty", INTERVAL_CLASSES, ids=INTERVAL_IDS)
+    def test_period_without_bounds_is_stored_one_way(self, cls, args, empty):
+        assert cls(*args, interval=None).interval == empty
+        assert cls(*args, interval=TimeInterval()).interval == empty
+
+    @pytest.mark.parametrize("cls, args, empty", INTERVAL_CLASSES, ids=INTERVAL_IDS)
+    def test_interval_must_be_a_time_interval(self, cls, args, empty):
+        with pytest.raises(InvariantError, match=rf"^{cls.__name__}\.interval: "):
+            cls(*args, interval="2015")
 
     def test_direct_relation_to_self_rejected(self):
         with pytest.raises(InvariantError):
