@@ -105,7 +105,6 @@ from .inference import (
     co_membership_edges,
     co_transaction_edges,
     edges_to_jsonl,
-    edges_to_triples,
     family_edges,
     materialize,
     referral_edges,

@@ -12,16 +12,13 @@ a given date, and does that match what the voter rolls recorded.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Optional
 
-from . import vocab
 from .errors import AmbiguousAffiliationError, InvariantError, UnknownAgentError
-from .mapping import interval_triples
 from .model import (
     Candidacy,
     DirectRel,
@@ -36,14 +33,6 @@ from .model import (
     Vote,
     check_entity_id,
     overlapping_pairs,
-)
-from .wire import (
-    XSD_BOOLEAN,
-    Iri,
-    Literal,
-    Triple,
-    TripleSet,
-    term_for_id,
 )
 
 FAMILY = "family"
@@ -404,33 +393,3 @@ def edges_to_jsonl(rg: RelationGraph) -> str:
         json.dumps(edge_to_dict(e), sort_keys=True, separators=(",", ":")) + "\n"
         for e in rg.edges()
     )
-
-
-def _edge_iri(edge: RelationEdge) -> str:
-    digest = hashlib.sha256("\x00".join(map(str, edge.key)).encode("utf-8")).hexdigest()
-    return f"urn:edge:{digest[:20]}"
-
-
-def edges_to_triples(rg: RelationGraph) -> TripleSet:
-    """The relation graph in the wire format under the derived-relation
-    vocabulary, each edge as a content-addressed node."""
-    ts = TripleSet()
-    rdf_type = Iri(vocab.RDF_TYPE)
-    for e in rg.edges():
-        node = Iri(_edge_iri(e))
-        ts.add(Triple(node, rdf_type, Iri(vocab.POLREL_EDGE)))
-        ts.add(Triple(node, Iri(vocab.POLREL_FROM), term_for_id(e.a)))
-        ts.add(Triple(node, Iri(vocab.POLREL_TO), term_for_id(e.b)))
-        ts.add(Triple(node, Iri(vocab.POLREL_KIND), Literal(e.kind)))
-        ts.add(Triple(node, Iri(vocab.POLREL_DETAIL), term_for_id(e.detail)))
-        ts.add(
-            Triple(
-                node,
-                Iri(vocab.POLREL_DIRECTED),
-                Literal("true" if e.directed else "false", XSD_BOOLEAN),
-            )
-        )
-        for ev in e.evidence:
-            ts.add(Triple(node, Iri(vocab.POLREL_EVIDENCE), term_for_id(ev)))
-        ts.update(interval_triples(node, e.interval))
-    return ts

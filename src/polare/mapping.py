@@ -1,9 +1,10 @@
 """Mapping between typed entities and their triple representation.
 
-The field table in :mod:`polare.model` (``TYPE_SPECS``) drives both
-directions, so ``assemble_entities`` and ``emit_entities`` stay exact
-inverses.  Unknown vocabulary is never dropped: whatever
-``assemble_entities`` cannot map ends up in ``graph.residue``.
+The field table in :mod:`polare.model` (``TYPE_SPECS``, derived from each
+entity field's single ``wire(...)`` declaration) drives both directions, so
+``assemble_entities`` and ``emit_entities`` stay exact inverses.  Unknown
+vocabulary is never dropped: whatever ``assemble_entities`` cannot map ends
+up in ``graph.residue``.
 """
 
 from __future__ import annotations

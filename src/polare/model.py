@@ -2,12 +2,13 @@
 electoral entities, concept schemes, day-granular time intervals, and the
 entity graph that holds them all.
 
-One field table, :data:`TYPE_SPECS`, describes every field of every entity
-class: its wire predicate, its value kind and, for references, the classes
-it may point to.  The entity id checks, :func:`iter_references`,
+Each entity field is declared once, on its class, with :func:`wire`: its
+wire predicate, its value kind and, for references, the classes it may
+point to.  The field table :data:`TYPE_SPECS` is derived from those
+declarations, and the entity id checks, :func:`iter_references`,
 :func:`iter_concept_refs`, :data:`BINDING_KEYS` and the wire mapping in
-:mod:`polare.mapping` all derive from it; each class's ``__post_init__``
-adds only its own invariants.
+:mod:`polare.mapping` all read it; each class's ``__post_init__`` adds only
+its own invariants.
 
 All domain values are immutable after construction.  The graph itself is
 mutated only through :meth:`EntityGraph.add_all` (which
@@ -20,10 +21,10 @@ own, so each insert costs the size of the batch, not of the graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import vocab
 from .errors import (
@@ -241,10 +242,18 @@ def _sorted_ids(values) -> tuple:
     return tuple(sorted(set(values)))
 
 
+def wire(pred: str, kind: str, *targets: str, multi: bool = False, default=MISSING):
+    """Declare an entity field with its wire predicate and value kind (ref |
+    concept | string | date | decimal | boolean); a ref field names the
+    classes its id may resolve to, ``"Agent"`` standing for every agent
+    class.  The field is required exactly when it has no default."""
+    return field(default=default, metadata={"wire": (pred, kind, targets, multi)})
+
+
 @dataclass(frozen=True)
 class Person:
     id: str
-    name: str
+    name: str = wire(vocab.FOAF_NAME, "string")
 
     def __post_init__(self):
         _check_fields(self)
@@ -255,9 +264,11 @@ class Person:
 @dataclass(frozen=True)
 class Organization:
     id: str
-    name: str
-    classification: Optional[str] = None  # concept id
-    parent: Optional[str] = None  # parent organization id
+    name: str = wire(vocab.FOAF_NAME, "string")
+    classification: Optional[str] = wire(vocab.ORG_CLASSIFICATION, "concept", default=None)
+    parent: Optional[str] = wire(
+        vocab.ORG_SUB_ORGANIZATION_OF, "ref", "Organization", default=None
+    )
 
     __post_init__ = _check_fields
 
@@ -265,8 +276,8 @@ class Organization:
 @dataclass(frozen=True)
 class Group:
     id: str
-    name: str
-    members: frozenset = frozenset()  # person ids
+    name: str = wire(vocab.FOAF_NAME, "string")
+    members: frozenset = wire(vocab.FOAF_MEMBER, "ref", "Person", multi=True, default=frozenset())
 
     def __post_init__(self):
         _check_fields(self)
@@ -279,10 +290,10 @@ class Post:
     one person at any moment."""
 
     id: str
-    organization: str
-    role: str  # concept id
+    organization: str = wire(vocab.ORG_POST_IN, "ref", "Organization")
+    role: str = wire(vocab.ORG_ROLE, "concept")
     interval: TimeInterval = TimeInterval()
-    exclusive: bool = True
+    exclusive: bool = wire(vocab.POL_EXCLUSIVE, "boolean", default=True)
 
     __post_init__ = _check_fields
 
@@ -293,8 +304,8 @@ class Membership:
     only way a person relates to an organization."""
 
     id: str
-    person: str
-    post: str
+    person: str = wire(vocab.ORG_MEMBER, "ref", "Person")
+    post: str = wire(vocab.POL_HAS_POST, "ref", "Post")
     interval: TimeInterval = TimeInterval()
 
     __post_init__ = _check_fields
@@ -306,9 +317,9 @@ class DirectRel:
     (family ties and similar)."""
 
     id: str
-    subject: str
-    object: str
-    relation: str  # concept id
+    subject: str = wire(vocab.POL_REL_SOURCE, "ref", "Person")
+    object: str = wire(vocab.POL_REL_TARGET, "ref", "Person")
+    relation: str = wire(vocab.POL_DIRECT_REL_PROP, "concept")
     interval: Optional[TimeInterval] = None
 
     def __post_init__(self):
@@ -322,10 +333,10 @@ class Referral:
     """Some agent nominated a person to occupy a post."""
 
     id: str
-    referrer: str  # agent id
-    referred: str  # person id
-    post: str
-    date: Optional[date] = None
+    referrer: str = wire(vocab.POL_REFERRER, "ref", "Agent")
+    referred: str = wire(vocab.POL_REFERRED, "ref", "Person")
+    post: str = wire(vocab.POL_POST_PROP, "ref", "Post")
+    date: Optional[date] = wire(vocab.DC_DATE, "date", default=None)
 
     __post_init__ = _check_fields
 
@@ -333,8 +344,8 @@ class Referral:
 @dataclass(frozen=True)
 class Proposition:
     id: str
-    creators: tuple  # person ids, stored sorted
-    title: Optional[str] = None
+    creators: tuple = wire(vocab.DC_CREATOR, "ref", "Person", multi=True)
+    title: Optional[str] = wire(vocab.DC_TITLE, "string", default=None)
 
     def __post_init__(self):
         _check_fields(self)
@@ -346,8 +357,8 @@ class Proposition:
 @dataclass(frozen=True)
 class Law:
     id: str
-    proposition: str
-    enacted: date
+    proposition: str = wire(vocab.POL_FROM_PROPOSITION, "ref", "Proposition")
+    enacted: date = wire(vocab.POL_ENACTED_ON, "date")
 
     __post_init__ = _check_fields
 
@@ -355,7 +366,7 @@ class Law:
 @dataclass(frozen=True)
 class Session:
     id: str
-    date: date
+    date: date = wire(vocab.DC_DATE, "date")
 
     __post_init__ = _check_fields
 
@@ -366,10 +377,10 @@ class VoteEvent:
     proposition."""
 
     id: str
-    session: str
-    proposition: str
-    disposition: str  # concept id
-    start: date
+    session: str = wire(vocab.POL_SESSION_PROP, "ref", "Session")
+    proposition: str = wire(vocab.POL_PROPOSITION_PROP, "ref", "Proposition")
+    disposition: str = wire(vocab.POL_DISPOSITION, "concept")
+    start: date = wire(vocab.SCHEMA_START_DATE, "date")
 
     __post_init__ = _check_fields
 
@@ -380,8 +391,8 @@ class Voter:
     data source recorded for them."""
 
     id: str
-    person: str
-    party: str  # organization id
+    person: str = wire(vocab.POL_PERSON_PROP, "ref", "Person")
+    party: str = wire(vocab.POL_PARTY, "ref", "Organization")
 
     __post_init__ = _check_fields
 
@@ -389,9 +400,9 @@ class Voter:
 @dataclass(frozen=True)
 class Vote:
     id: str
-    vote_event: str
-    voter: str
-    value: str  # concept id
+    vote_event: str = wire(vocab.POL_VOTE_EVENT_PROP, "ref", "VoteEvent")
+    voter: str = wire(vocab.POL_VOTER_PROP, "ref", "Voter")
+    value: str = wire(vocab.POL_VOTE_PROP, "concept")
 
     __post_init__ = _check_fields
 
@@ -399,9 +410,9 @@ class Vote:
 @dataclass(frozen=True)
 class Recommendation:
     id: str
-    issuer: str  # group id
-    vote_event: str
-    recommended: str  # concept id
+    issuer: str = wire(vocab.POL_ISSUED_BY, "ref", "Group")
+    vote_event: str = wire(vocab.POL_VOTE_EVENT_PROP, "ref", "VoteEvent")
+    recommended: str = wire(vocab.POL_RECOMMENDS, "concept")
 
     __post_init__ = _check_fields
 
@@ -409,8 +420,8 @@ class Recommendation:
 @dataclass(frozen=True)
 class Election:
     id: str
-    date: date
-    posts: frozenset  # post ids
+    date: date = wire(vocab.DC_DATE, "date")
+    posts: frozenset = wire(vocab.POL_ELECTS_POST, "ref", "Post", multi=True)
 
     def __post_init__(self):
         _check_fields(self)
@@ -422,11 +433,15 @@ class Election:
 @dataclass(frozen=True)
 class Candidacy:
     id: str
-    person: str
-    election: str
-    post: str
-    campaign_report: Optional[str] = None
-    property_report: Optional[str] = None
+    person: str = wire(vocab.POL_CANDIDATE, "ref", "Person")
+    election: str = wire(vocab.POL_ELECTION_PROP, "ref", "Election")
+    post: str = wire(vocab.POL_POST_PROP, "ref", "Post")
+    campaign_report: Optional[str] = wire(
+        vocab.POL_CAMPAIGN_REPORT_PROP, "ref", "CampaignReport", default=None
+    )
+    property_report: Optional[str] = wire(
+        vocab.POL_PROPERTY_REPORT_PROP, "ref", "PropertyReport", default=None
+    )
 
     __post_init__ = _check_fields
 
@@ -434,8 +449,8 @@ class Candidacy:
 @dataclass(frozen=True)
 class TransactionObject:
     id: str
-    kind: str  # "product" or "service"
-    description: str = ""
+    kind: str  # "product" or "service"; it is the wire type marker
+    description: str = wire(vocab.SCHEMA_DESCRIPTION, "string", default="")
 
     def __post_init__(self):
         _check_fields(self)
@@ -471,10 +486,10 @@ class Transaction:
 
     id: str
     participants: tuple  # Participation values, stored sorted
-    object: str
-    amount: Decimal
-    currency: str
-    date: date
+    object: str = wire(vocab.POL_TRANSACTION_OBJECT, "ref", "TransactionObject")
+    amount: Decimal = wire(vocab.POL_AMOUNT, "decimal")
+    currency: str = wire(vocab.POL_CURRENCY, "string")
+    date: date = wire(vocab.DC_DATE, "date")
 
     def __post_init__(self):
         _check_fields(self)
@@ -491,8 +506,10 @@ class Transaction:
 @dataclass(frozen=True)
 class CampaignReport:
     id: str
-    candidacy: str
-    transactions: tuple = ()  # transaction ids, stored sorted
+    candidacy: str = wire(vocab.POL_CANDIDACY_PROP, "ref", "Candidacy")
+    transactions: tuple = wire(
+        vocab.POL_TRANSACTION_PROP, "ref", "Transaction", multi=True, default=()
+    )
 
     def __post_init__(self):
         _check_fields(self)
@@ -502,10 +519,12 @@ class CampaignReport:
 @dataclass(frozen=True)
 class Asset:
     id: str
-    owner: str  # person id
-    description: str = ""
-    value: Optional[Decimal] = None
-    acquired_via: Optional[str] = None  # transaction-object id
+    owner: str = wire(vocab.POL_OWNER, "ref", "Person")
+    description: str = wire(vocab.SCHEMA_DESCRIPTION, "string", default="")
+    value: Optional[Decimal] = wire(vocab.POL_VALUE, "decimal", default=None)
+    acquired_via: Optional[str] = wire(
+        vocab.POL_ACQUIRED_VIA, "ref", "TransactionObject", default=None
+    )
 
     __post_init__ = _check_fields
 
@@ -513,8 +532,8 @@ class Asset:
 @dataclass(frozen=True)
 class PropertyReport:
     id: str
-    candidacy: str
-    assets: tuple = ()  # asset ids, stored sorted
+    candidacy: str = wire(vocab.POL_CANDIDACY_PROP, "ref", "Candidacy")
+    assets: tuple = wire(vocab.POL_ASSET_PROP, "ref", "Asset", multi=True, default=())
 
     def __post_init__(self):
         _check_fields(self)
@@ -537,33 +556,34 @@ class LegalCase:
 
 AGENT_CLASSES = (Person, Organization, Group)
 
-ENTITY_CLASSES = (
-    Person,
-    Organization,
-    Group,
-    Post,
-    Membership,
-    DirectRel,
-    Referral,
-    Proposition,
-    Law,
-    Session,
-    VoteEvent,
-    Voter,
-    Vote,
-    Recommendation,
-    Election,
-    Candidacy,
-    TransactionObject,
-    Transaction,
-    CampaignReport,
-    Asset,
-    PropertyReport,
-    LegalCase,
-)
+#: Every entity class, in table order, with the type marker its subject
+#: carries on the wire (None: a transaction object is typed by its kind).
+_TYPE_IRIS = {
+    Person: vocab.FOAF_PERSON,
+    Organization: vocab.ORG_ORGANIZATION,
+    Group: vocab.FOAF_GROUP,
+    Post: vocab.ORG_POST,
+    Membership: vocab.ORG_MEMBERSHIP,
+    DirectRel: vocab.POL_DIRECT_REL,
+    Referral: vocab.POL_REFERRAL,
+    Proposition: vocab.POL_PROPOSITION,
+    Law: vocab.POL_LAW,
+    Session: vocab.POL_SESSION,
+    VoteEvent: vocab.POL_VOTE_EVENT,
+    Voter: vocab.POL_VOTER,
+    Vote: vocab.POL_VOTE,
+    Recommendation: vocab.POL_RECOMMENDATION,
+    Election: vocab.POL_ELECTION,
+    Candidacy: vocab.POL_CANDIDACY,
+    TransactionObject: None,
+    Transaction: vocab.POL_TRANSACTION,
+    CampaignReport: vocab.POL_CAMPAIGN_REPORT,
+    Asset: vocab.POL_ASSET,
+    PropertyReport: vocab.POL_PROPERTY_REPORT,
+    LegalCase: vocab.POL_LEGAL_CASE,
+}
 
-Agent = Union[Person, Organization, Group]
-Entity = Union[ENTITY_CLASSES]
+ENTITY_CLASSES = tuple(_TYPE_IRIS)
 
 
 # -- the field table ---------------------------------------------------------
@@ -576,11 +596,11 @@ class FieldSpec:
     attr: str
     pred: str
     kind: str  # ref | concept | string | date | decimal | boolean
-    required: bool = True
-    multi: bool = False
-    default: object = None
-    targets: tuple = ()  # ref fields: the classes the referenced id may resolve to
-    key: str = ""  # "<Cls>.<attr>", set by the owning TypeSpec
+    required: bool
+    multi: bool
+    default: object  # optional single-valued fields only; None otherwise
+    targets: tuple  # ref fields: the classes the referenced id may resolve to
+    key: str  # "<Cls>.<attr>"
 
 
 @dataclass(frozen=True)
@@ -591,15 +611,9 @@ class TypeSpec:
     cls: type
     type_iri: Optional[str]  # None: transaction objects are typed by their kind
     fields: tuple
-    interval_attr: Optional[str] = None
-    interval_optional: bool = False
-    participants: bool = False
-
-    def __post_init__(self):
-        name = self.cls.__name__
-        object.__setattr__(
-            self, "fields", tuple(replace(f, key=f"{name}.{f.attr}") for f in self.fields)
-        )
+    interval_attr: Optional[str]
+    interval_optional: bool
+    participants: bool
 
     @property
     def role_key(self) -> str:
@@ -607,227 +621,46 @@ class TypeSpec:
         return f"{self.cls.__name__}.role"
 
 
-#: The one description of every entity field.  The id checks, reference and
-#: concept iteration, the binding keys and the wire mapping all read it.
-TYPE_SPECS = (
-    TypeSpec(Person, vocab.FOAF_PERSON, (FieldSpec("name", vocab.FOAF_NAME, "string"),)),
-    TypeSpec(
-        Organization,
-        vocab.ORG_ORGANIZATION,
-        (
-            FieldSpec("name", vocab.FOAF_NAME, "string"),
-            FieldSpec("classification", vocab.ORG_CLASSIFICATION, "concept", required=False),
+_TARGETS = {c.__name__: (c,) for c in ENTITY_CLASSES}
+_TARGETS["Agent"] = AGENT_CLASSES
+
+
+def _type_spec(cls, type_iri: Optional[str]) -> TypeSpec:
+    """Read the class's ``wire(...)`` declarations into its table entry."""
+    declared = {f.name: f for f in fields(cls)}
+    specs = []
+    for f in declared.values():
+        if "wire" not in f.metadata:
+            continue
+        pred, kind, targets, multi = f.metadata["wire"]
+        required = f.default is MISSING
+        specs.append(
             FieldSpec(
-                "parent",
-                vocab.ORG_SUB_ORGANIZATION_OF,
-                "ref",
-                required=False,
-                targets=(Organization,),
-            ),
-        ),
-    ),
-    TypeSpec(
-        Group,
-        vocab.FOAF_GROUP,
-        (
-            FieldSpec("name", vocab.FOAF_NAME, "string"),
-            FieldSpec(
-                "members", vocab.FOAF_MEMBER, "ref", required=False, multi=True, targets=(Person,)
-            ),
-        ),
-    ),
-    TypeSpec(
-        Post,
-        vocab.ORG_POST,
-        (
-            FieldSpec("organization", vocab.ORG_POST_IN, "ref", targets=(Organization,)),
-            FieldSpec("role", vocab.ORG_ROLE, "concept"),
-            FieldSpec("exclusive", vocab.POL_EXCLUSIVE, "boolean", required=False, default=True),
-        ),
-        interval_attr="interval",
-    ),
-    TypeSpec(
-        Membership,
-        vocab.ORG_MEMBERSHIP,
-        (
-            FieldSpec("person", vocab.ORG_MEMBER, "ref", targets=(Person,)),
-            FieldSpec("post", vocab.POL_HAS_POST, "ref", targets=(Post,)),
-        ),
-        interval_attr="interval",
-    ),
-    TypeSpec(
-        DirectRel,
-        vocab.POL_DIRECT_REL,
-        (
-            FieldSpec("subject", vocab.POL_REL_SOURCE, "ref", targets=(Person,)),
-            FieldSpec("object", vocab.POL_REL_TARGET, "ref", targets=(Person,)),
-            FieldSpec("relation", vocab.POL_DIRECT_REL_PROP, "concept"),
-        ),
-        interval_attr="interval",
-        interval_optional=True,
-    ),
-    TypeSpec(
-        Referral,
-        vocab.POL_REFERRAL,
-        (
-            FieldSpec("referrer", vocab.POL_REFERRER, "ref", targets=AGENT_CLASSES),
-            FieldSpec("referred", vocab.POL_REFERRED, "ref", targets=(Person,)),
-            FieldSpec("post", vocab.POL_POST_PROP, "ref", targets=(Post,)),
-            FieldSpec("date", vocab.DC_DATE, "date", required=False),
-        ),
-    ),
-    TypeSpec(
-        Proposition,
-        vocab.POL_PROPOSITION,
-        (
-            FieldSpec("creators", vocab.DC_CREATOR, "ref", multi=True, targets=(Person,)),
-            FieldSpec("title", vocab.DC_TITLE, "string", required=False),
-        ),
-    ),
-    TypeSpec(
-        Law,
-        vocab.POL_LAW,
-        (
-            FieldSpec("proposition", vocab.POL_FROM_PROPOSITION, "ref", targets=(Proposition,)),
-            FieldSpec("enacted", vocab.POL_ENACTED_ON, "date"),
-        ),
-    ),
-    TypeSpec(Session, vocab.POL_SESSION, (FieldSpec("date", vocab.DC_DATE, "date"),)),
-    TypeSpec(
-        VoteEvent,
-        vocab.POL_VOTE_EVENT,
-        (
-            FieldSpec("session", vocab.POL_SESSION_PROP, "ref", targets=(Session,)),
-            FieldSpec("proposition", vocab.POL_PROPOSITION_PROP, "ref", targets=(Proposition,)),
-            FieldSpec("disposition", vocab.POL_DISPOSITION, "concept"),
-            FieldSpec("start", vocab.SCHEMA_START_DATE, "date"),
-        ),
-    ),
-    TypeSpec(
-        Voter,
-        vocab.POL_VOTER,
-        (
-            FieldSpec("person", vocab.POL_PERSON_PROP, "ref", targets=(Person,)),
-            FieldSpec("party", vocab.POL_PARTY, "ref", targets=(Organization,)),
-        ),
-    ),
-    TypeSpec(
-        Vote,
-        vocab.POL_VOTE,
-        (
-            FieldSpec("vote_event", vocab.POL_VOTE_EVENT_PROP, "ref", targets=(VoteEvent,)),
-            FieldSpec("voter", vocab.POL_VOTER_PROP, "ref", targets=(Voter,)),
-            FieldSpec("value", vocab.POL_VOTE_PROP, "concept"),
-        ),
-    ),
-    TypeSpec(
-        Recommendation,
-        vocab.POL_RECOMMENDATION,
-        (
-            FieldSpec("issuer", vocab.POL_ISSUED_BY, "ref", targets=(Group,)),
-            FieldSpec("vote_event", vocab.POL_VOTE_EVENT_PROP, "ref", targets=(VoteEvent,)),
-            FieldSpec("recommended", vocab.POL_RECOMMENDS, "concept"),
-        ),
-    ),
-    TypeSpec(
-        Election,
-        vocab.POL_ELECTION,
-        (
-            FieldSpec("date", vocab.DC_DATE, "date"),
-            FieldSpec("posts", vocab.POL_ELECTS_POST, "ref", multi=True, targets=(Post,)),
-        ),
-    ),
-    TypeSpec(
-        Candidacy,
-        vocab.POL_CANDIDACY,
-        (
-            FieldSpec("person", vocab.POL_CANDIDATE, "ref", targets=(Person,)),
-            FieldSpec("election", vocab.POL_ELECTION_PROP, "ref", targets=(Election,)),
-            FieldSpec("post", vocab.POL_POST_PROP, "ref", targets=(Post,)),
-            FieldSpec(
-                "campaign_report",
-                vocab.POL_CAMPAIGN_REPORT_PROP,
-                "ref",
-                required=False,
-                targets=(CampaignReport,),
-            ),
-            FieldSpec(
-                "property_report",
-                vocab.POL_PROPERTY_REPORT_PROP,
-                "ref",
-                required=False,
-                targets=(PropertyReport,),
-            ),
-        ),
-    ),
-    TypeSpec(
-        TransactionObject,
-        None,
-        (FieldSpec("description", vocab.SCHEMA_DESCRIPTION, "string", required=False, default=""),),
-    ),
-    TypeSpec(
-        Transaction,
-        vocab.POL_TRANSACTION,
-        (
-            FieldSpec("object", vocab.POL_TRANSACTION_OBJECT, "ref", targets=(TransactionObject,)),
-            FieldSpec("amount", vocab.POL_AMOUNT, "decimal"),
-            FieldSpec("currency", vocab.POL_CURRENCY, "string"),
-            FieldSpec("date", vocab.DC_DATE, "date"),
-        ),
-        participants=True,
-    ),
-    TypeSpec(
-        CampaignReport,
-        vocab.POL_CAMPAIGN_REPORT,
-        (
-            FieldSpec("candidacy", vocab.POL_CANDIDACY_PROP, "ref", targets=(Candidacy,)),
-            FieldSpec(
-                "transactions",
-                vocab.POL_TRANSACTION_PROP,
-                "ref",
-                required=False,
-                multi=True,
-                targets=(Transaction,),
-            ),
-        ),
-    ),
-    TypeSpec(
-        Asset,
-        vocab.POL_ASSET,
-        (
-            FieldSpec("owner", vocab.POL_OWNER, "ref", targets=(Person,)),
-            FieldSpec(
-                "description", vocab.SCHEMA_DESCRIPTION, "string", required=False, default=""
-            ),
-            FieldSpec("value", vocab.POL_VALUE, "decimal", required=False),
-            FieldSpec(
-                "acquired_via",
-                vocab.POL_ACQUIRED_VIA,
-                "ref",
-                required=False,
-                targets=(TransactionObject,),
-            ),
-        ),
-    ),
-    TypeSpec(
-        PropertyReport,
-        vocab.POL_PROPERTY_REPORT,
-        (
-            FieldSpec("candidacy", vocab.POL_CANDIDACY_PROP, "ref", targets=(Candidacy,)),
-            FieldSpec(
-                "assets", vocab.POL_ASSET_PROP, "ref", required=False, multi=True, targets=(Asset,)
-            ),
-        ),
-    ),
-    TypeSpec(
-        LegalCase,
-        vocab.POL_LEGAL_CASE,
-        (),
-        interval_attr="interval",
-        interval_optional=True,
-        participants=True,
-    ),
-)
+                f.name,
+                pred,
+                kind,
+                required,
+                multi,
+                None if required or multi else f.default,
+                tuple(c for name in targets for c in _TARGETS[name]),
+                f"{cls.__name__}.{f.name}",
+            )
+        )
+    interval = declared.get("interval")
+    return TypeSpec(
+        cls,
+        type_iri,
+        tuple(specs),
+        None if interval is None else "interval",
+        interval is not None and interval.default is None,
+        "participants" in declared,
+    )
+
+
+#: The one description of every entity field, derived from the classes'
+#: ``wire(...)`` declarations.  The id checks, reference and concept
+#: iteration, the binding keys and the wire mapping all read it.
+TYPE_SPECS = tuple(_type_spec(cls, type_iri) for cls, type_iri in _TYPE_IRIS.items())
 
 SPEC_BY_CLASS = {s.cls: s for s in TYPE_SPECS}
 

@@ -9,7 +9,7 @@ conforms exactly when no error-severity violation exists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -52,16 +52,7 @@ class ShapeConfig:
     def from_dict(cls, data: dict, origin: str = "config") -> "ShapeConfig":
         if not isinstance(data, dict):
             raise StoreError(f"{origin}: expected a JSON object")
-        kwargs = {}
-        for key in (
-            "exclusive_occupancy",
-            "membership_within_post",
-            "require_post_mediation",
-            "concept_domain",
-            "duplicate_membership",
-        ):
-            if key in data:
-                kwargs[key] = data[key]
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         unknown = set(data) - set(kwargs)
         if unknown:
             raise StoreError(f"{origin}: unknown keys {sorted(unknown)}")

@@ -110,16 +110,6 @@ POL_ASSET_PROP = POL + "asset"
 POL_OCCUPIES = POL + "occupies"
 POL_SINGLETON_PROPERTY_OF = POL + "singletonPropertyOf"
 
-# derived-relation vocabulary used when exporting a relation graph as triples
-POLREL = "http://polare.org/rel#"
-POLREL_EDGE = POLREL + "RelationEdge"
-POLREL_FROM = POLREL + "from"
-POLREL_TO = POLREL + "to"
-POLREL_KIND = POLREL + "kind"
-POLREL_DETAIL = POLREL + "detail"
-POLREL_DIRECTED = POLREL + "directed"
-POLREL_EVIDENCE = POLREL + "evidence"
-
 #: prefix map matching the namespaces above, handy for writing fixtures
 PREFIXES = {
     "rdf": RDF,
@@ -131,5 +121,4 @@ PREFIXES = {
     "skos": SKOS,
     "xsd": "http://www.w3.org/2001/XMLSchema#",
     "pol": POL,
-    "polrel": POLREL,
 }

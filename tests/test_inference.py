@@ -24,7 +24,6 @@ from polare.inference import (
     co_transaction_edges,
     edge_to_dict,
     edges_to_jsonl,
-    edges_to_triples,
     family_edges,
     materialize,
     referral_edges,
@@ -50,7 +49,6 @@ from polare.model import (
     Voter,
 )
 from polare.validation import validate_graph
-from polare.wire import Iri
 
 from .genfixtures import (
     ALL_SCHEMES,
@@ -653,14 +651,3 @@ class TestExports:
         text = edges_to_jsonl(fwd)
         assert text == edges_to_jsonl(rev)
         assert text.endswith("\n") and len(text.strip().splitlines()) == 2
-
-    def test_triples_export_parses(self):
-        from polare.wire import parse_triples, serialize_triples
-
-        rg = RelationGraph()
-        for e in self.sample_edges():
-            rg.add(e)
-        ts = edges_to_triples(rg)
-        assert parse_triples(serialize_triples(ts)) == ts
-        subjects = {t.subject for t in ts}
-        assert all(isinstance(s, Iri) and s.value.startswith("urn:edge:") for s in subjects)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
 from datetime import date
 
 import pytest
 
+from polare.errors import StoreError
 from polare.model import (
     Candidacy,
     Election,
@@ -337,6 +339,31 @@ class TestShapeConfig:
     def test_from_dict_rejects_bad_severity(self):
         with pytest.raises(Exception):
             ShapeConfig.from_dict({"membership_within_post": "loud"})
+
+    SETTINGS = [
+        ("exclusive_occupancy", False),
+        ("membership_within_post", "error"),
+        ("require_post_mediation", False),
+        ("concept_domain", False),
+        ("duplicate_membership", "off"),
+    ]
+
+    def test_settings_cover_every_field(self):
+        assert [k for k, _ in self.SETTINGS] == [f.name for f in dataclasses.fields(ShapeConfig)]
+
+    @pytest.mark.parametrize("key, value", SETTINGS, ids=[k for k, _ in SETTINGS])
+    def test_from_dict_round_trips_each_field(self, key, value):
+        cfg = ShapeConfig.from_dict({key: value})
+        assert getattr(cfg, key) == value
+        assert cfg == dataclasses.replace(ShapeConfig(), **{key: value})
+
+    def test_from_dict_messages(self):
+        with pytest.raises(StoreError, match=r"^shapes\.json: unknown keys \['a', 'b'\]$"):
+            ShapeConfig.from_dict({"b": 1, "concept_domain": True, "a": 2}, "shapes.json")
+        with pytest.raises(StoreError, match=r"^config: expected a JSON object$"):
+            ShapeConfig.from_dict([])
+        with pytest.raises(StoreError, match=r"^config: duplicate_membership: 'error'$"):
+            ShapeConfig.from_dict({"duplicate_membership": "error"})
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "shapes.json"
