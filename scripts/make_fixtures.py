@@ -15,10 +15,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from polare import (  # noqa: E402
-    Candidacy,
+from polare.claims import Claim, write_claims  # noqa: E402
+from polare.mapping import emit_entities  # noqa: E402
+from polare.model import (  # noqa: E402
+    Asset,
     CampaignReport,
-    Claim,
+    Candidacy,
     Concept,
     ConceptScheme,
     DirectRel,
@@ -42,9 +44,6 @@ from polare import (  # noqa: E402
     Vote,
     VoteEvent,
     Voter,
-    Asset,
-    emit_entities,
-    write_claims,
 )
 from polare.schemes import write_bindings, write_scheme  # noqa: E402
 

@@ -6,10 +6,10 @@ corroboration instead of re-owning it.  Views can then be restricted to the
 claims of accepted asserters and fed to assembly and validation like any
 other triple set.
 
-A claim is built, sorted and hashed exactly once: ``Claim`` renders each
-term a single time and uses that rendering for both the canonical order
-and the hashed text, and ``ClaimStore.add`` files an already-built claim,
-so replaying a claims file builds one ``Claim`` per line.
+A claim is built, sorted and hashed exactly once: ``Claim`` sorts its
+triples, whose terms are their canonical spellings, and hashes the text
+they join into, and ``ClaimStore.add`` files an already-built claim, so
+replaying a claims file builds one ``Claim`` per line.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .errors import ClaimError, EmptyAssertionError, StoreError, WireParseError
-from .wire import Triple, TripleSet, canonicalize, parse_triples, render_triple
+from .wire import TripleSet, canonicalize, parse_triples, serialize_triples
 
 Pathish = Union[str, Path]
 
@@ -89,8 +89,8 @@ class ClaimStore:
 
     def __init__(self):
         self._claims: dict = {}  # claim id -> Claim, in ingest order
-        self._owner: dict = {}  # Triple -> claim id, in first-assertion order
-        self._corroborators: dict = {}  # Triple -> [claim id]
+        self._owner: dict = {}  # triple -> claim id, in first-assertion order
+        self._corroborators: dict = {}  # triple -> [claim id]
 
     def __len__(self) -> int:
         return len(self._claims)
@@ -137,7 +137,7 @@ class ClaimStore:
     def corroborated_triples(self, claim_id: str) -> tuple:
         return tuple(t for t in self.claim(claim_id).assertion if self._owner[t] != claim_id)
 
-    def provenance_of(self, t: Triple) -> Provenance:
+    def provenance_of(self, t: tuple) -> Provenance:
         """Owner claim plus corroborating claims; empty for unseen triples."""
         owner_id = self._owner.get(t)
         if owner_id is None:
@@ -167,7 +167,7 @@ def claim_to_json(claim: Claim) -> str:
         "asserter": claim.asserter,
         "source": claim.source,
         "timestamp": claim.timestamp.isoformat(),
-        "assertion": "".join(render_triple(t) + "\n" for t in claim.assertion),
+        "assertion": serialize_triples(claim.assertion),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

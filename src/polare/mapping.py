@@ -9,8 +9,9 @@ up in ``graph.residue``.
 
 from __future__ import annotations
 
+import re
 from datetime import date
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Optional
 
 from . import vocab
@@ -29,69 +30,83 @@ from .wire import (
     XSD_DATE,
     XSD_DECIMAL,
     XSD_STRING,
-    Iri,
-    Literal,
-    Triple,
     TripleSet,
     id_for_term,
+    iri,
+    is_literal,
+    literal,
+    literal_parts,
     term_for_id,
 )
 
-_RDF_TYPE = Iri(vocab.RDF_TYPE)
+_RDF_TYPE = iri(vocab.RDF_TYPE)
+_START_DATE = iri(vocab.SCHEMA_START_DATE)
+_END_DATE = iri(vocab.SCHEMA_END_DATE)
+_PARTICIPANT = iri(vocab.POL_PARTICIPANT)
+_AGENT = iri(vocab.POL_AGENT)
+_ROLE = iri(vocab.POL_ROLE)
+
+# the XSD 1.1 lexical spaces (Part 2, 3.3.3 and the part of 3.3.9 that
+# datetime.date holds), in ASCII digits; Decimal and date.fromisoformat
+# accept more, such as "NaN", "1e3" and "20161002"
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-#: type-marker IRI -> (spec, transaction-object kind or None)
+#: type-marker term -> (spec, transaction-object kind or None)
 TYPE_MARKERS = {}
 for _s in TYPE_SPECS:
     if _s.type_iri is not None:
-        TYPE_MARKERS[_s.type_iri] = (_s, None)
-TYPE_MARKERS[vocab.SCHEMA_PRODUCT] = (SPEC_BY_CLASS[TransactionObject], "product")
-TYPE_MARKERS[vocab.SCHEMA_SERVICE] = (SPEC_BY_CLASS[TransactionObject], "service")
+        TYPE_MARKERS[iri(_s.type_iri)] = (_s, None)
+TYPE_MARKERS[iri(vocab.SCHEMA_PRODUCT)] = (SPEC_BY_CLASS[TransactionObject], "product")
+TYPE_MARKERS[iri(vocab.SCHEMA_SERVICE)] = (SPEC_BY_CLASS[TransactionObject], "service")
 
 
 def _value_term(kind: str, value):
     if kind in ("ref", "concept"):
         return term_for_id(value)
     if kind == "string":
-        return Literal(value)
+        return literal(value)
     if kind == "date":
-        return Literal(value.isoformat(), XSD_DATE)
+        return literal(value.isoformat(), XSD_DATE)
     if kind == "decimal":
-        return Literal(str(value), XSD_DECIMAL)
+        return literal(str(value), XSD_DECIMAL)
     if kind == "boolean":
-        return Literal("true" if value else "false", XSD_BOOLEAN)
+        return literal("true" if value else "false", XSD_BOOLEAN)
     raise AssertionError(kind)
 
 
 def _term_value(kind: str, term, subject: str, attr: str):
     if kind in ("ref", "concept"):
-        if isinstance(term, Literal):
+        if is_literal(term):
             raise ValueParseError(subject, f"{attr}: expected an IRI or blank node, got a literal")
         return id_for_term(term)
-    if not isinstance(term, Literal):
+    if not is_literal(term):
         raise ValueParseError(subject, f"{attr}: expected a literal")
+    lexical, datatype = literal_parts(term)
     if kind == "string":
-        if term.datatype != XSD_STRING:
-            raise ValueParseError(subject, f"{attr}: expected a string literal, got {term.datatype}")
-        return term.lexical
+        if datatype != XSD_STRING:
+            raise ValueParseError(subject, f"{attr}: expected a string literal, got {datatype}")
+        return lexical
     if kind == "date":
-        if term.datatype != XSD_DATE:
+        if datatype != XSD_DATE:
             raise ValueParseError(subject, f"{attr}: expected an {XSD_DATE} literal")
-        try:
-            return date.fromisoformat(term.lexical)
-        except ValueError:
-            raise ValueParseError(subject, f"{attr}: bad date literal {term.lexical!r}") from None
+        if _DATE.fullmatch(lexical):
+            try:
+                return date.fromisoformat(lexical)
+            except ValueError:  # a month or day out of range
+                pass
+        raise ValueParseError(subject, f"{attr}: bad date literal {lexical!r}")
     if kind == "decimal":
-        if term.datatype != XSD_DECIMAL:
+        if datatype != XSD_DECIMAL:
             raise ValueParseError(subject, f"{attr}: expected an {XSD_DECIMAL} literal")
-        try:
-            return Decimal(term.lexical)
-        except InvalidOperation:
-            raise ValueParseError(subject, f"{attr}: bad decimal literal {term.lexical!r}") from None
+        if not _DECIMAL.fullmatch(lexical):
+            raise ValueParseError(subject, f"{attr}: bad decimal literal {lexical!r}")
+        return Decimal(lexical)
     if kind == "boolean":
-        if term.datatype != XSD_BOOLEAN or term.lexical not in ("true", "false"):
+        if datatype != XSD_BOOLEAN or lexical not in ("true", "false"):
             raise ValueParseError(subject, f"{attr}: expected a boolean literal")
-        return term.lexical == "true"
+        return lexical == "true"
     raise AssertionError(kind)
 
 
@@ -106,10 +121,8 @@ def interval_triples(subject, interval: Optional[TimeInterval]) -> list:
     ``subject``: none for an absent interval, none for an open bound."""
     if interval is None:
         return []
-    bounds = ((vocab.SCHEMA_START_DATE, interval.start), (vocab.SCHEMA_END_DATE, interval.end))
-    return [
-        Triple(subject, Iri(pred), _value_term("date", d)) for pred, d in bounds if d is not None
-    ]
+    bounds = ((_START_DATE, interval.start), (_END_DATE, interval.end))
+    return [(subject, pred, _value_term("date", d)) for pred, d in bounds if d is not None]
 
 
 def triples_for_entity(entity) -> list:
@@ -120,23 +133,23 @@ def triples_for_entity(entity) -> list:
         type_iri = spec.type_iri
     else:
         type_iri = vocab.SCHEMA_PRODUCT if entity.kind == "product" else vocab.SCHEMA_SERVICE
-    out = [Triple(subj, _RDF_TYPE, Iri(type_iri))]
+    out = [(subj, _RDF_TYPE, iri(type_iri))]
     for fld in spec.fields:
         value = getattr(entity, fld.attr)
         if fld.multi:
             for v in sorted(value):
-                out.append(Triple(subj, Iri(fld.pred), _value_term(fld.kind, v)))
+                out.append((subj, iri(fld.pred), _value_term(fld.kind, v)))
         elif fld.required or value != fld.default:
             if value is not None:
-                out.append(Triple(subj, Iri(fld.pred), _value_term(fld.kind, value)))
+                out.append((subj, iri(fld.pred), _value_term(fld.kind, value)))
     if spec.interval_attr is not None:
         out.extend(interval_triples(subj, getattr(entity, spec.interval_attr)))
     if spec.participants:
         for i, part in enumerate(entity.participants):
             node = term_for_id(_participant_node_id(entity.id, i))
-            out.append(Triple(subj, Iri(vocab.POL_PARTICIPANT), node))
-            out.append(Triple(node, Iri(vocab.POL_AGENT), term_for_id(part.agent)))
-            out.append(Triple(node, Iri(vocab.POL_ROLE), term_for_id(part.role)))
+            out.append((subj, _PARTICIPANT, node))
+            out.append((node, _AGENT, term_for_id(part.agent)))
+            out.append((node, _ROLE, term_for_id(part.role)))
     return out
 
 
@@ -149,17 +162,14 @@ def emit_entities(graph: EntityGraph) -> TripleSet:
 
 
 class SubjectIndex:
-    """The triples of a set by subject id and predicate, recording which
-    ones a reader has taken."""
+    """The triples of a set by subject id and predicate term, recording
+    which ones a reader has taken."""
 
     def __init__(self, ts: TripleSet):
-        self.by_subject: dict = {}  # subject id -> pred iri -> [(term, triple)]
+        self.by_subject: dict = {}  # subject id -> predicate term -> [(object term, triple)]
         self.consumed: set = set()
         for t in ts:
-            sid = id_for_term(t.subject)
-            self.by_subject.setdefault(sid, {}).setdefault(t.predicate.value, []).append(
-                (t.object, t)
-            )
+            self.by_subject.setdefault(id_for_term(t[0]), {}).setdefault(t[1], []).append((t[2], t))
 
     def values(self, sid: str, pred: str) -> list:
         return self.by_subject.get(sid, {}).get(pred, [])
@@ -171,7 +181,7 @@ class SubjectIndex:
         return [term for term, _ in pairs]
 
     def take_single(self, sid: str, fld: FieldSpec):
-        terms = self.take(sid, fld.pred)
+        terms = self.take(sid, iri(fld.pred))
         if not terms:
             if fld.required:
                 raise MissingFieldError(sid, f"missing mandatory field {fld.attr}")
@@ -181,8 +191,8 @@ class SubjectIndex:
         return _term_value(fld.kind, terms[0], sid, fld.attr)
 
     def take_interval(self, sid: str) -> TimeInterval:
-        starts = self.take(sid, vocab.SCHEMA_START_DATE)
-        ends = self.take(sid, vocab.SCHEMA_END_DATE)
+        starts = self.take(sid, _START_DATE)
+        ends = self.take(sid, _END_DATE)
         if len(starts) > 1 or len(ends) > 1:
             raise ValueParseError(sid, "multiple start or end dates")
         start = _term_value("date", starts[0], sid, "interval.start") if starts else None
@@ -190,16 +200,16 @@ class SubjectIndex:
         return TimeInterval(start, end)
 
     def take_participants(self, sid: str) -> list:
-        nodes = self.take(sid, vocab.POL_PARTICIPANT)
+        nodes = self.take(sid, _PARTICIPANT)
         if not nodes:
             raise MissingFieldError(sid, "missing mandatory field participants")
         parts = []
         for node in nodes:
-            if isinstance(node, Literal):
+            if is_literal(node):
                 raise ValueParseError(sid, "participant must be an IRI or blank node")
             nid = id_for_term(node)
-            agents = self.take(nid, vocab.POL_AGENT)
-            roles = self.take(nid, vocab.POL_ROLE)
+            agents = self.take(nid, _AGENT)
+            roles = self.take(nid, _ROLE)
             if len(agents) != 1:
                 raise ValueParseError(sid, f"participant {nid}: expected exactly one agent")
             if len(roles) != 1:
@@ -227,12 +237,10 @@ def assemble_entities(ts: TripleSet, schemes=(), bindings: Optional[dict] = None
 
     typed: dict = {}
     for t in ts:
-        if t.predicate.value != vocab.RDF_TYPE or not isinstance(t.object, Iri):
-            continue
-        marker = TYPE_MARKERS.get(t.object.value)
+        marker = TYPE_MARKERS.get(t[2]) if t[1] == _RDF_TYPE else None
         if marker is None:
             continue
-        sid = id_for_term(t.subject)
+        sid = id_for_term(t[0])
         spec, kind = marker
         if sid in typed:
             prev_spec, prev_kind, _ = typed[sid]
@@ -254,7 +262,7 @@ def assemble_entities(ts: TripleSet, schemes=(), bindings: Optional[dict] = None
             kwargs["kind"] = kind
         for fld in spec.fields:
             if fld.multi:
-                terms = asm.take(sid, fld.pred)
+                terms = asm.take(sid, iri(fld.pred))
                 if fld.required and not terms:
                     raise MissingFieldError(sid, f"missing mandatory field {fld.attr}")
                 kwargs[fld.attr] = tuple(

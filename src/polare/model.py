@@ -72,6 +72,8 @@ def _check_decimal(value, owner: str):
         dec = value if isinstance(value, Decimal) else Decimal(value)
     except (InvalidOperation, TypeError, ValueError):
         raise InvariantError(f"{owner}: not a decimal value: {value!r}") from None
+    if not dec.is_finite():
+        raise InvariantError(f"{owner}: not a finite decimal value: {value!r}")
     return dec
 
 

@@ -17,16 +17,16 @@ from . import vocab
 from .errors import AmbiguousSingletonError, OrphanSingletonError, ValueParseError
 from .mapping import SubjectIndex, assemble_entities, interval_triples, triples_for_entity
 from .model import EntityGraph, Membership
-from .wire import Iri, Literal, Triple, TripleSet, id_for_term, term_for_id
+from .wire import TripleSet, id_for_term, iri, is_literal, term_for_id
 
 SINGLETON_SUFFIX = "_sp"
 
-_RDF_TYPE = Iri(vocab.RDF_TYPE)
-_NAMED_INDIVIDUAL = Iri(vocab.OWL_NAMED_INDIVIDUAL)
-_OBJECT_PROPERTY = Iri(vocab.OWL_OBJECT_PROPERTY)
-_MEMBERSHIP_TYPE = Iri(vocab.ORG_MEMBERSHIP)
-_OCCUPIES = Iri(vocab.POL_OCCUPIES)
-_SPO = Iri(vocab.POL_SINGLETON_PROPERTY_OF)
+_RDF_TYPE = iri(vocab.RDF_TYPE)
+_NAMED_INDIVIDUAL = iri(vocab.OWL_NAMED_INDIVIDUAL)
+_OBJECT_PROPERTY = iri(vocab.OWL_OBJECT_PROPERTY)
+_MEMBERSHIP_TYPE = iri(vocab.ORG_MEMBERSHIP)
+_OCCUPIES = iri(vocab.POL_OCCUPIES)
+_SPO = iri(vocab.POL_SINGLETON_PROPERTY_OF)
 
 
 def singleton_iri(membership_id: str) -> str:
@@ -49,18 +49,18 @@ def to_singleton(graph: EntityGraph) -> TripleSet:
     for m in memberships:
         if m.id.startswith("_:"):
             raise ValueParseError(m.id, "a blank-node membership cannot become a predicate")
-        p_m = Iri(singleton_iri(m.id))
+        p_m = iri(singleton_iri(m.id))
         person = term_for_id(m.person)
-        ts.add(Triple(person, _RDF_TYPE, _NAMED_INDIVIDUAL))
-        ts.add(Triple(person, p_m, term_for_id(m.post)))
-        ts.add(Triple(p_m, _RDF_TYPE, _NAMED_INDIVIDUAL))
-        ts.add(Triple(p_m, _RDF_TYPE, _OBJECT_PROPERTY))
-        ts.add(Triple(p_m, _RDF_TYPE, _MEMBERSHIP_TYPE))
+        ts.add((person, _RDF_TYPE, _NAMED_INDIVIDUAL))
+        ts.add((person, p_m, term_for_id(m.post)))
+        ts.add((p_m, _RDF_TYPE, _NAMED_INDIVIDUAL))
+        ts.add((p_m, _RDF_TYPE, _OBJECT_PROPERTY))
+        ts.add((p_m, _RDF_TYPE, _MEMBERSHIP_TYPE))
         ts.update(interval_triples(p_m, m.interval))
-        ts.add(Triple(p_m, _SPO, _OCCUPIES))
+        ts.add((p_m, _SPO, _OCCUPIES))
     if memberships:
-        ts.add(Triple(_OCCUPIES, _RDF_TYPE, _NAMED_INDIVIDUAL))
-        ts.add(Triple(_OCCUPIES, _RDF_TYPE, _OBJECT_PROPERTY))
+        ts.add((_OCCUPIES, _RDF_TYPE, _NAMED_INDIVIDUAL))
+        ts.add((_OCCUPIES, _RDF_TYPE, _OBJECT_PROPERTY))
     ts.update(getattr(graph, "residue", ()))
     return ts
 
@@ -75,26 +75,27 @@ def from_singleton(ts: TripleSet, schemes=(), bindings: Optional[dict] = None) -
     """
     declarations: dict = {}
     for t in ts:
-        if t.predicate != _SPO:
+        if t[1] != _SPO:
             continue
-        sid = id_for_term(t.subject)
-        if isinstance(t.object, Literal):
+        sid = id_for_term(t[0])
+        if is_literal(t[2]):
             raise ValueParseError(sid, "singleton base must be an IRI")
-        if sid in declarations and declarations[sid][0] != t.object:
+        if sid in declarations and declarations[sid][0] != t[2]:
             raise AmbiguousSingletonError(sid, "declared with more than one base property")
-        declarations[sid] = (t.object, t)
+        declarations[sid] = (t[2], t)
 
-    statements: dict = {sid: [] for sid in declarations}
+    # a statement uses a declared singleton property as its predicate
+    statements: dict = {iri(sid): [] for sid in declarations}
     for t in ts:
-        if t.predicate.value in statements:
-            statements[t.predicate.value].append(t)
+        if t[1] in statements:
+            statements[t[1]].append(t)
 
     index = SubjectIndex(ts)
     memberships = []
     occupies_seen = False
     for sid in sorted(declarations):
         base, decl = declarations[sid]
-        uses = statements[sid]
+        uses = statements[iri(sid)]
         if not uses:
             raise OrphanSingletonError(sid, "singleton property never used in a statement")
         if len(uses) > 1:
@@ -102,25 +103,23 @@ def from_singleton(ts: TripleSet, schemes=(), bindings: Optional[dict] = None) -
         if base != _OCCUPIES:
             continue
         occupies_seen = True
-        statement = uses[0]
-        if isinstance(statement.object, Literal):
+        person, _, post = statement = uses[0]
+        if is_literal(post):
             raise ValueParseError(sid, "membership statement object must be an IRI or blank node")
-        person_id = id_for_term(statement.subject)
-        post_id = id_for_term(statement.object)
+        person_id = id_for_term(person)
+        post_id = id_for_term(post)
         interval = index.take_interval(sid)
         # invert the deterministic minting rule so a full rewrite cycle is the
         # identity; foreign singleton names are kept as-is
         mid = sid[: -len(SINGLETON_SUFFIX)] if sid.endswith(SINGLETON_SUFFIX) else sid
         memberships.append(Membership(mid, person_id, post_id, interval))
-        index.consumed.update(
-            (statement, decl, Triple(statement.subject, _RDF_TYPE, _NAMED_INDIVIDUAL))
-        )
-        for term, t in index.values(sid, vocab.RDF_TYPE):
+        index.consumed.update((statement, decl, (person, _RDF_TYPE, _NAMED_INDIVIDUAL)))
+        for term, t in index.values(sid, _RDF_TYPE):
             if term in (_NAMED_INDIVIDUAL, _OBJECT_PROPERTY, _MEMBERSHIP_TYPE):
                 index.consumed.add(t)
     if occupies_seen:
-        index.consumed.add(Triple(_OCCUPIES, _RDF_TYPE, _NAMED_INDIVIDUAL))
-        index.consumed.add(Triple(_OCCUPIES, _RDF_TYPE, _OBJECT_PROPERTY))
+        index.consumed.add((_OCCUPIES, _RDF_TYPE, _NAMED_INDIVIDUAL))
+        index.consumed.add((_OCCUPIES, _RDF_TYPE, _OBJECT_PROPERTY))
 
     remaining = TripleSet(t for t in ts if t not in index.consumed)
     graph = assemble_entities(remaining, schemes, bindings)

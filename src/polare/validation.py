@@ -17,7 +17,7 @@ from . import vocab
 from .errors import StoreError
 from .model import Candidacy, EntityGraph, Membership, Post, iter_concept_refs, overlapping_pairs
 from .schemes import read_json
-from .wire import Literal, id_for_term
+from .wire import id_for_term, iri, is_literal, literal_parts
 
 EXCLUSIVE_OCCUPANCY = "EXCLUSIVE_OCCUPANCY"
 MEMBERSHIP_OUTSIDE_POST = "MEMBERSHIP_OUTSIDE_POST"
@@ -28,6 +28,9 @@ DUPLICATE_MEMBERSHIP = "DUPLICATE_MEMBERSHIP"
 
 ERROR = "error"
 WARN = "warn"
+
+_MEMBER_OF = iri(vocab.ORG_MEMBER_OF)
+_HAS_MEMBER = iri(vocab.ORG_HAS_MEMBER)
 
 _SEVERITY_LEVELS = (ERROR, WARN, "off")
 
@@ -220,10 +223,8 @@ def check_candidacy_shape(graph: EntityGraph) -> list:
     return out
 
 
-def _term_id(term) -> str:
-    if isinstance(term, Literal):
-        return term.lexical
-    return id_for_term(term)
+def _term_id(term: str) -> str:
+    return literal_parts(term)[0] if is_literal(term) else id_for_term(term)
 
 
 def check_post_mediation(graph: EntityGraph) -> list:
@@ -231,10 +232,10 @@ def check_post_mediation(graph: EntityGraph) -> list:
     triples in the residue are flagged."""
     out = []
     for t in getattr(graph, "residue", ()):
-        if t.predicate.value == vocab.ORG_MEMBER_OF:
-            person, org = _term_id(t.subject), _term_id(t.object)
-        elif t.predicate.value == vocab.ORG_HAS_MEMBER:
-            person, org = _term_id(t.object), _term_id(t.subject)
+        if t[1] == _MEMBER_OF:
+            person, org = _term_id(t[0]), _term_id(t[2])
+        elif t[1] == _HAS_MEMBER:
+            person, org = _term_id(t[2]), _term_id(t[0])
         else:
             continue
         out.append(

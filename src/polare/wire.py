@@ -17,6 +17,15 @@ local part cannot end with ``.``, since a trailing dot reads as the
 statement terminator.  Canonical serialization emits full IRIs only, one
 sorted statement per line.
 
+In memory a term is its canonical spelling, as RDF 1.1 N-Triples writes
+it: ``<iri>``, ``_:label``, ``"lexical"`` or ``"lexical"^^<datatype>``,
+with ``xsd:string`` never written and ``\\ \" \n \r \t`` escaped in the
+lexical form.  A triple is a ``(subject, predicate, object)`` tuple of
+spellings, so tuple order is the canonical order.  This module is the only
+one that builds or takes apart a spelling: :func:`iri`, :func:`literal`,
+:func:`term_for_id`, :func:`id_for_term`, :func:`is_literal` and
+:func:`literal_parts`.
+
 Parsing is one left-to-right pass per line.  The scanner finds each token
 with a single ``str.find`` or precompiled regex match from its cursor (an
 IRI is found by its closing ``>`` and then checked for the forbidden
@@ -31,7 +40,6 @@ past U+10FFFF are rejected.  Every :class:`WireParseError` carries the exact
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import UnknownPrefixError, WireParseError
@@ -43,62 +51,52 @@ XSD_DECIMAL = XSD + "decimal"
 XSD_BOOLEAN = XSD + "boolean"
 
 
-@dataclass(frozen=True)
-class Iri:
-    value: str
+def iri(value: str) -> str:
+    return f"<{value}>"
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
-
-
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: str = XSD_STRING
-
-
-@dataclass(frozen=True)
-class Triple:
-    subject: object  # Iri | BlankNode
-    predicate: Iri
-    object: object  # Iri | BlankNode | Literal
-
-
-def term_for_id(eid: str):
-    """Entity id string -> subject/object term."""
-    return BlankNode(eid[2:]) if eid.startswith("_:") else Iri(eid)
-
-
-def id_for_term(term) -> str:
-    """Subject/object term -> entity id string; literals have no id."""
-    if isinstance(term, Iri):
-        return term.value
-    if isinstance(term, BlankNode):
-        return "_:" + term.label
-    raise ValueError(f"term has no entity id: {term!r}")
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
+_ESCAPED_CHAR = re.compile(r"\\(.)", re.DOTALL)
+# an escaped lexical form runs to the first quote that no backslash escapes
+_ESCAPED_BODY = re.compile(r'[^"\\]*(?:\\.[^"\\]*)*', re.DOTALL)
 
 
-def render_term(term) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        body = "".join(_ESCAPES.get(c, c) for c in term.lexical)
-        if term.datatype == XSD_STRING:
-            return f'"{body}"'
-        return f'"{body}"^^<{term.datatype}>'
-    raise TypeError(f"not a term: {term!r}")
+def literal(lexical: str, datatype: str = XSD_STRING) -> str:
+    body = lexical.translate(_ESCAPES)
+    if datatype == XSD_STRING:
+        return f'"{body}"'
+    return f'"{body}"^^<{datatype}>'
 
 
-def render_triple(t: Triple) -> str:
-    return f"{render_term(t.subject)} {render_term(t.predicate)} {render_term(t.object)} ."
+def is_literal(term: str) -> bool:
+    return term.startswith('"')
+
+
+def literal_parts(term: str) -> tuple:
+    """``(lexical, datatype)`` of a literal's spelling; inverts :func:`literal`."""
+    if term.endswith('"'):  # only an xsd:string literal ends at its closing quote
+        body, datatype = term[1:-1], XSD_STRING
+    else:
+        end = _ESCAPED_BODY.match(term, 1).end()
+        body, datatype = term[1:end], term[end + 4 : -1]
+    if "\\" in body:
+        body = _ESCAPED_CHAR.sub(lambda m: _UNESCAPES[m.group(1)], body)
+    return body, datatype
+
+
+def term_for_id(eid: str) -> str:
+    """Entity id string -> subject/object term."""
+    return eid if eid.startswith("_:") else iri(eid)
+
+
+def id_for_term(term: str) -> str:
+    """Subject/object term -> entity id string; literals have no id."""
+    if term.startswith("<"):
+        return term[1:-1]
+    if term.startswith("_:"):
+        return term
+    raise ValueError(f"term has no entity id: {term!r}")
 
 
 class TripleSet:
@@ -107,23 +105,23 @@ class TripleSet:
 
     __slots__ = ("_items",)
 
-    def __init__(self, triples: Iterable[Triple] = ()):
+    def __init__(self, triples: Iterable[tuple] = ()):
         # from a dict, such as ClaimStore's ownership index, this copies the
         # stored hashes and hashes no triple
         self._items: dict = dict.fromkeys(triples)
 
-    def add(self, t: Triple) -> bool:
+    def add(self, t: tuple) -> bool:
         size = len(self._items)
         self._items.setdefault(t)  # hashes t once; a test plus a store would hash it twice
         return len(self._items) > size
 
-    def update(self, triples: Iterable[Triple]) -> None:
+    def update(self, triples: Iterable[tuple]) -> None:
         self._items.update(dict.fromkeys(triples))
 
-    def __contains__(self, t: Triple) -> bool:
+    def __contains__(self, t: tuple) -> bool:
         return t in self._items
 
-    def __iter__(self) -> Iterator[Triple]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self._items)
 
     def __len__(self) -> int:
@@ -138,20 +136,11 @@ class TripleSet:
         return f"TripleSet({len(self._items)} triples)"
 
 
-def canonicalize(triples: Iterable[Triple]) -> tuple:
-    """``(ordered, text)``: the distinct triples sorted by their rendered
-    (subject, predicate, object), and their canonical text.
-
-    Each term is rendered once, and that one rendering is both the sort key
-    and the text, so the order and the text cannot disagree.
-    """
-    distinct = list(dict.fromkeys(triples))
-    keys = [
-        (render_term(t.subject), render_term(t.predicate), render_term(t.object)) for t in distinct
-    ]
-    order = sorted(range(len(distinct)), key=keys.__getitem__)
-    text = "".join(f"{s} {p} {o} .\n" for s, p, o in map(keys.__getitem__, order))
-    return [distinct[i] for i in order], text
+def canonicalize(triples: Iterable[tuple]) -> tuple:
+    """``(ordered, text)``: the distinct triples in canonical order, which is
+    the tuple order of their spellings, and their canonical text."""
+    ordered = sorted(set(triples))
+    return ordered, "".join(f"{s} {p} {o} .\n" for s, p, o in ordered)
 
 
 def serialize_triples(ts: TripleSet) -> str:
@@ -197,6 +186,7 @@ class _LineScanner:
         return self.pos - start
 
     def scan_iriref(self) -> str:
+        """An IRIREF, spelled as it stands in the input."""
         text, start = self.text, self.pos
         close = text.find(">", start + 1)
         bad = _IRI_FORBIDDEN.search(text, start + 1, len(text) if close < 0 else close)
@@ -207,9 +197,9 @@ class _LineScanner:
         if close == start + 1:
             self.error("empty IRI", column=start + 1)
         self.pos = close + 1
-        return text[start + 1 : close]
+        return text[start : close + 1]
 
-    def scan_blank(self) -> BlankNode:
+    def scan_blank(self) -> str:
         start = self.pos
         end = _BLANK_LABEL.match(self.text, start + 2).end()
         # a trailing dot reads as the statement terminator, not label content
@@ -217,7 +207,7 @@ class _LineScanner:
         if not label:
             self.error("empty blank node label", column=start + 1)
         self.pos = start + 2 + len(label)
-        return BlankNode(label)
+        return self.text[start : self.pos]
 
     def scan_pname_iri(self) -> str:
         """Scan a prefixed name and expand it through the prefix map."""
@@ -232,7 +222,7 @@ class _LineScanner:
             raise UnknownPrefixError(self.line, start + 1, prefix)
         return self.prefixes[prefix] + local
 
-    def scan_literal(self) -> Literal:
+    def scan_literal(self) -> str:
         text, start = self.text, self.pos
         end = _LITERAL_RUN.match(text, start + 1).end()
         if end < len(text) and text[end] == '"':
@@ -244,10 +234,10 @@ class _LineScanner:
         if text.startswith("^^", self.pos):
             self.pos += 2
             if self.peek() == "<":
-                datatype = self.scan_iriref()
+                datatype = self.scan_iriref()[1:-1]
             else:
                 datatype = self.scan_pname_iri()
-        return Literal(lexical, datatype)
+        return literal(lexical, datatype)
 
     def _unescape(self, start: int) -> str:
         """Decode the body of the literal opening at ``start`` and move the
@@ -283,30 +273,29 @@ class _LineScanner:
             else:
                 self.error(f"unknown escape \\{e}")
 
-    def scan_subject(self):
+    def scan_iri(self) -> str:
         if self.peek() == "<":
-            return Iri(self.scan_iriref())
-        if self.text[self.pos : self.pos + 2] == "_:":
+            return self.scan_iriref()
+        return iri(self.scan_pname_iri())
+
+    def scan_subject(self) -> str:
+        if self.text.startswith("_:", self.pos):
             return self.scan_blank()
         if self.peek() == '"':
             self.error("literal not allowed as subject")
-        return Iri(self.scan_pname_iri())
+        return self.scan_iri()
 
-    def scan_predicate(self) -> Iri:
-        if self.peek() == "<":
-            return Iri(self.scan_iriref())
-        if self.text[self.pos : self.pos + 2] == "_:" or self.peek() == '"':
+    def scan_predicate(self) -> str:
+        if self.text.startswith("_:", self.pos) or self.peek() == '"':
             self.error("predicate must be an IRI")
-        return Iri(self.scan_pname_iri())
+        return self.scan_iri()
 
-    def scan_object(self):
-        if self.peek() == "<":
-            return Iri(self.scan_iriref())
-        if self.text[self.pos : self.pos + 2] == "_:":
+    def scan_object(self) -> str:
+        if self.text.startswith("_:", self.pos):
             return self.scan_blank()
         if self.peek() == '"':
             return self.scan_literal()
-        return Iri(self.scan_pname_iri())
+        return self.scan_iri()
 
 
 def parse_triples(text: str, prefixes: Optional[dict] = None) -> TripleSet:
@@ -314,7 +303,7 @@ def parse_triples(text: str, prefixes: Optional[dict] = None) -> TripleSet:
     names through ``prefixes``; raises :class:`WireParseError` with the line
     and column of the first problem."""
     prefixes = prefixes or {}
-    out = TripleSet()
+    out = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         sc = _LineScanner(line, line_no, prefixes)
@@ -335,5 +324,5 @@ def parse_triples(text: str, prefixes: Optional[dict] = None) -> TripleSet:
         sc.skip_ws()
         if not sc.at_end():
             sc.error("unexpected content after '.'")
-        out.add(Triple(subject, predicate, obj))
-    return out
+        out.append((subject, predicate, obj))
+    return TripleSet(out)

@@ -11,7 +11,8 @@ import random
 from datetime import date, timedelta
 from decimal import Decimal
 
-from polare import (
+from polare.inference import RelationEdge, RelationGraph
+from polare.model import (
     Asset,
     CampaignReport,
     Candidacy,
@@ -32,8 +33,6 @@ from polare import (
     Proposition,
     Recommendation,
     Referral,
-    RelationEdge,
-    RelationGraph,
     Session,
     TimeInterval,
     Transaction,

@@ -28,7 +28,7 @@ from polare.queries import PathQuery, find_paths
 from polare.singleton import from_singleton, to_singleton
 from polare.store import Store
 from polare.validation import EXCLUSIVE_OCCUPANCY, check_exclusive_occupancy
-from polare.wire import Iri, Triple, TripleSet, parse_triples, serialize_triples
+from polare.wire import TripleSet, parse_triples, serialize_triples
 
 from .genfixtures import (
     ALL_SCHEMES,
@@ -88,14 +88,8 @@ def test_singleton_listing_fidelity(report):
     )
 
     back = to_singleton(g)
-    old, new = "http://polare.org/ns#occupies_1", "http://polare.org/ns#occupies_1_sp"
-
-    def rename(term):
-        return Iri(new) if term == Iri(old) else term
-
-    want = TripleSet(
-        Triple(rename(t.subject), rename(t.predicate), rename(t.object)) for t in listing
-    )
+    old, new = "<http://polare.org/ns#occupies_1>", "<http://polare.org/ns#occupies_1_sp>"
+    want = TripleSet(tuple(new if term == old else term for term in t) for t in listing)
     ok = ok and back == want
     report(ok, "singleton listing assembles and rewrites faithfully")
 
@@ -259,7 +253,7 @@ def test_provenance_partition(report):
         asserter = f"http://x/agent{rng.randrange(6)}"
         ts = datetime(2020, 1, 1 + i % 28, tzinfo=timezone.utc)
         triples = tuple(
-            Triple(Iri("http://x/s"), Iri("http://x/p"), Iri(f"http://x/o{rng.randrange(30)}"))
+            ("<http://x/s>", "<http://x/p>", f"<http://x/o{rng.randrange(30)}>")
             for _ in range(rng.randint(1, 6))
         )
         before = len(cs)

@@ -38,6 +38,16 @@ MEMBERSHIP_LISTING = """\
 :john foaf:name "John" .
 """
 
+# fields are read in declaration order, so a bad amount or date is reported
+# before the missing participants
+TRANSACTION = """\
+:t rdf:type pol:Transaction .
+:t pol:amount "1500.50"^^xsd:decimal .
+:t pol:currency "BRL" .
+:t pol:transactionObject :o .
+:t dc:date "2015-01-01"^^xsd:date .
+"""
+
 
 class TestAssembly:
     def test_membership_with_interval(self):
@@ -102,6 +112,20 @@ class TestAssembly:
                 ':t dc:date "2015-01-01"^^xsd:date .\n'
             )
 
+    @pytest.mark.parametrize("lexical", ["NaN", "Infinity", "1e3", "1_000", " 1", "\u0663"])
+    def test_decimal_outside_the_xsd_lexical_space(self, lexical):
+        with pytest.raises(ValueParseError) as info:
+            assemble(TRANSACTION.replace("1500.50", lexical))
+        assert info.value.subject == "http://x/t"
+        assert info.value.reason == f"amount: bad decimal literal {lexical!r}"
+
+    @pytest.mark.parametrize("lexical", ["20161002", "2016-W40-1"])
+    def test_date_outside_the_xsd_lexical_space(self, lexical):
+        with pytest.raises(ValueParseError) as info:
+            assemble(TRANSACTION.replace("2015-01-01", lexical))
+        assert info.value.subject == "http://x/t"
+        assert info.value.reason == f"date: bad date literal {lexical!r}"
+
     def test_unexpected_datatype_rejected(self):
         with pytest.raises(ValueParseError):
             assemble(
@@ -126,7 +150,7 @@ class TestResidue:
         g = assemble_entities(parse_triples(text, p), schemes=ALL_SCHEMES, bindings=BINDINGS)
         assert len(g.residue) == 1
         (left,) = g.residue
-        assert left.predicate.value == "http://example.org/shoeSize"
+        assert left[1] == "<http://example.org/shoeSize>"
 
     def test_conservation_recognized_plus_residue(self):
         rng = random.Random(777)
@@ -163,13 +187,13 @@ class TestEmission:
     def test_optional_fields_omitted_when_default(self):
         post = Post("http://x/s", "http://x/o", "http://x/r")
         ts = triples_for_entity(post)
-        preds = {t.predicate.value for t in ts}
-        assert not any(p.endswith("exclusive") for p in preds)
+        preds = {p for _, p, _ in ts}
+        assert not any(p.endswith("exclusive>") for p in preds)
 
     def test_optional_fields_emitted_when_set(self):
         post = Post("http://x/s", "http://x/o", "http://x/r", exclusive=False)
-        preds = {t.predicate.value for t in triples_for_entity(post)}
-        assert any(p.endswith("exclusive") for p in preds)
+        preds = {p for _, p, _ in triples_for_entity(post)}
+        assert any(p.endswith("exclusive>") for p in preds)
 
     def test_decimal_amount_survives(self):
         g = new_graph()

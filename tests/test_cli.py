@@ -84,6 +84,39 @@ BAD_JSON = {
 }
 
 
+FX = "http://polare.org/fx/"
+
+
+def store_with_literal(tmp_path, old: str, new: str) -> Path:
+    """A copy of the clean store whose log spells the literal ``old`` as ``new``."""
+    store_dir = tmp_path / "store"
+    shutil.copytree(CLEAN, store_dir)
+    log = store_dir / "claims.jsonl"
+    lines = []
+    for line in log.read_text(encoding="utf-8").splitlines():
+        claim = json.loads(line)
+        claim["assertion"] = claim["assertion"].replace(f'"{old}"^^', f'"{new}"^^')
+        lines.append(json.dumps(claim, sort_keys=True, separators=(",", ":")) + "\n")
+    log.write_text("".join(lines), encoding="utf-8")
+    return store_dir
+
+
+class TestLiteralValues:
+    @pytest.mark.parametrize("lexical", ["NaN", "Infinity", "1e3", "1_000", " 1", "\u0663"])
+    def test_decimal_outside_the_xsd_lexical_space(self, capsys, tmp_path, lexical):
+        store_dir = store_with_literal(tmp_path, "1500.50", lexical)
+        code, out, err = run(capsys, "validate", "--store", str(store_dir))
+        assert code == 2 and out == ""
+        assert err == f"error: {FX}tx/1001: amount: bad decimal literal {lexical!r}\n"
+
+    @pytest.mark.parametrize("lexical", ["20161002", "2016-W40-1"])
+    def test_date_outside_the_xsd_lexical_space(self, capsys, tmp_path, lexical):
+        store_dir = store_with_literal(tmp_path, "2016-10-02", lexical)
+        code, out, err = run(capsys, "validate", "--store", str(store_dir))
+        assert code == 2 and out == ""
+        assert err == f"error: {FX}election/2016: date: bad date literal {lexical!r}\n"
+
+
 class TestUnreadableJsonFiles:
     @pytest.mark.parametrize("content", BAD_JSON.values(), ids=BAD_JSON.keys())
     @pytest.mark.parametrize("where", ["--config", "--asserters", "scheme", "--prefixes"])

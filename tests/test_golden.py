@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from polare.claims import read_claims
 from polare.cli import run_cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -114,9 +115,23 @@ GOLDEN = {
 }
 
 
+#: sha256 of the claim ids of clean_store then overlap_store, in log order,
+#: one per line; a change to term spelling, canonical order or hashing fails it
+CLAIM_IDS = "ffdd2a312e4b50aed0725ef7524b0af73652c093b3eff082eb107b588b666092"
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_outputs_match_the_pinned_digests(case, tmp_path):
     assert run_case(case, tmp_path) == GOLDEN[case]
+
+
+def test_claim_ids_are_pinned():
+    ids = [
+        claim.id
+        for store in ("clean_store", "overlap_store")
+        for claim in read_claims(FIXTURES / store / "claims.jsonl")
+    ]
+    assert hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest() == CLAIM_IDS
 
 
 if __name__ == "__main__":

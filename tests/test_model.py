@@ -188,6 +188,18 @@ class TestEntityInvariants:
                 date(2020, 1, 1),
             )
 
+    @pytest.mark.parametrize("amount", ["NaN", "sNaN", "Infinity", "-Infinity"])
+    def test_transaction_amount_must_be_finite(self, amount):
+        with pytest.raises(InvariantError, match=r"^Transaction\.amount: not a finite decimal"):
+            Transaction(
+                "x:t",
+                (Participation("x:a", "x:role"), Participation("x:b", "x:role")),
+                "x:o",
+                Decimal(amount),
+                "BRL",
+                date(2020, 1, 1),
+            )
+
     def test_asset_value_decimal_ok(self):
         a = Asset("x:a", "x:p", "flat", Decimal("12.30"))
         assert a.value == Decimal("12.30")

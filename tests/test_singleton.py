@@ -10,7 +10,7 @@ from polare.mapping import assemble_entities, emit_entities
 from polare.model import Membership, Person, TimeInterval
 from polare.singleton import SINGLETON_SUFFIX, from_singleton, singleton_iri, to_singleton
 from polare.vocab import OWL, PREFIXES as VOCAB_PREFIXES, RDF_TYPE
-from polare.wire import Iri, Triple, TripleSet, parse_triples, serialize_triples
+from polare.wire import TripleSet, parse_triples, serialize_triples
 
 from .genfixtures import ALL_SCHEMES, BINDINGS, new_graph, random_entity_graph
 
@@ -84,8 +84,8 @@ class TestFromSingleton:
         )
         g = from_singleton(parse_triples(text, NS))
         assert g.of_type(Membership) == []
-        preds = {t.predicate.value for t in g.residue}
-        assert "http://polare.org/ns#knows_1" in {t.subject.value for t in g.residue} | preds
+        preds = {p for _, p, _ in g.residue}
+        assert "<http://polare.org/ns#knows_1>" in {s for s, _, _ in g.residue} | preds
 
 
     @pytest.mark.parametrize(
@@ -120,37 +120,24 @@ class TestToSingleton:
         sp = singleton_iri("http://x/m")
         assert sp == "http://x/m" + SINGLETON_SUFFIX
         by_subj = {}
-        for t in ts:
-            by_subj.setdefault(t.subject.value, set()).add((t.predicate.value, t.object))
+        for s, p, o in ts:
+            by_subj.setdefault(s, set()).add((p, o))
         # the person now links straight to the post through the singleton property
-        assert ("http://x/m" + SINGLETON_SUFFIX, Iri("http://x/seat")) in {
-            (p, o) for p, o in by_subj["http://x/p"]
-        }
+        assert (f"<http://x/m{SINGLETON_SUFFIX}>", "<http://x/seat>") in by_subj["<http://x/p>"]
         # the singleton property node is typed and tied back to its base
-        sp_preds = {p for p, _ in by_subj[sp]}
-        assert RDF_TYPE in sp_preds
-        assert any(p.endswith("singletonPropertyOf") for p in sp_preds)
-        types = {o.value for p, o in by_subj[sp] if p == RDF_TYPE}
-        assert OWL + "NamedIndividual" in types and OWL + "ObjectProperty" in types
+        sp_preds = {p for p, _ in by_subj[f"<{sp}>"]}
+        assert f"<{RDF_TYPE}>" in sp_preds
+        assert any(p.endswith("singletonPropertyOf>") for p in sp_preds)
+        types = {o for p, o in by_subj[f"<{sp}>"] if p == f"<{RDF_TYPE}>"}
+        assert f"<{OWL}NamedIndividual>" in types and f"<{OWL}ObjectProperty>" in types
 
     def test_round_trip_modulo_suffix(self):
         listing = load_fixture_listing()
         g = from_singleton(listing)
         back = to_singleton(g)
-        want = TripleSet(
-            Triple(
-                Iri(t.subject.value.replace("occupies_1", "occupies_1" + SINGLETON_SUFFIX))
-                if t.subject.value == "http://polare.org/ns#occupies_1"
-                else t.subject,
-                Iri(t.predicate.value.replace("occupies_1", "occupies_1" + SINGLETON_SUFFIX))
-                if t.predicate.value == "http://polare.org/ns#occupies_1"
-                else t.predicate,
-                Iri(t.object.value.replace("occupies_1", "occupies_1" + SINGLETON_SUFFIX))
-                if isinstance(t.object, Iri) and t.object.value == "http://polare.org/ns#occupies_1"
-                else t.object,
-            )
-            for t in listing
-        )
+        old = "<http://polare.org/ns#occupies_1>"
+        new = f"<http://polare.org/ns#occupies_1{SINGLETON_SUFFIX}>"
+        want = TripleSet(tuple(new if term == old else term for term in t) for t in listing)
         assert back == want
 
     def test_graph_round_trip_exact(self):
@@ -192,7 +179,7 @@ class TestToSingleton:
     def test_carries_residue_through(self):
         g = new_graph()
         g.add(Person("http://x/p", "P"))
-        extra = Triple(Iri("http://other/a"), Iri("http://other/b"), Iri("http://other/c"))
+        extra = ("<http://other/a>", "<http://other/b>", "<http://other/c>")
         g.residue = TripleSet([extra])
         assert extra in to_singleton(g)
 

@@ -35,7 +35,7 @@ from polare.validation import (
     load_shape_config,
     validate_graph,
 )
-from polare.wire import Iri, Triple, TripleSet
+from polare.wire import TripleSet
 
 from .genfixtures import (
     ALL_SCHEMES,
@@ -197,11 +197,7 @@ class TestCandidacyShape:
 
 class TestPostMediation:
     def direct_triple(self):
-        return Triple(
-            Iri("http://x/p"),
-            Iri("http://www.w3.org/ns/org#memberOf"),
-            Iri("http://x/org"),
-        )
+        return ("<http://x/p>", "<http://www.w3.org/ns/org#memberOf>", "<http://x/org>")
 
     def test_direct_membership_in_residue_flagged(self):
         g = new_graph()
@@ -213,13 +209,7 @@ class TestPostMediation:
     def test_has_member_direction_flagged(self):
         g = new_graph()
         g.residue = TripleSet(
-            [
-                Triple(
-                    Iri("http://x/org"),
-                    Iri("http://www.w3.org/ns/org#hasMember"),
-                    Iri("http://x/p"),
-                )
-            ]
+            [("<http://x/org>", "<http://www.w3.org/ns/org#hasMember>", "<http://x/p>")]
         )
         vs = check_post_mediation(g)
         assert len(vs) == 1 and vs[0].focus == "http://x/p"

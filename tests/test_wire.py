@@ -5,19 +5,19 @@ from hypothesis import strategies as st
 from polare.errors import WireParseError
 from polare.wire import (
     _UNESCAPES,
-    BlankNode,
-    Iri,
-    Literal,
-    Triple,
     TripleSet,
     XSD_BOOLEAN,
     XSD_DATE,
     XSD_DECIMAL,
     XSD_STRING,
+    id_for_term,
+    iri,
+    is_literal,
+    literal,
+    literal_parts,
     parse_triples,
-    render_term,
-    render_triple,
     serialize_triples,
+    term_for_id,
 )
 
 PREFIXES = {
@@ -28,38 +28,38 @@ PREFIXES = {
 
 
 def t(s, p, o):
-    return Triple(Iri(s), Iri(p), o)
+    return (f"<{s}>", f"<{p}>", o)
 
 
 class TestParsing:
     def test_plain_statement(self):
         got = parse_triples('<http://ex/a> <http://ex/b> <http://ex/c> .\n')
-        assert got == TripleSet([t("http://ex/a", "http://ex/b", Iri("http://ex/c"))])
+        assert got == TripleSet([t("http://ex/a", "http://ex/b", "<http://ex/c>")])
 
     def test_prefixed_names_expand(self):
         got = parse_triples(":John ex:knows :Mary .\n", PREFIXES)
         (tr,) = got
-        assert tr.subject == Iri("http://polare.org/ns#John")
-        assert tr.predicate == Iri("http://example.org/knows")
-        assert tr.object == Iri("http://polare.org/ns#Mary")
+        assert tr[0] == "<http://polare.org/ns#John>"
+        assert tr[1] == "<http://example.org/knows>"
+        assert tr[2] == "<http://polare.org/ns#Mary>"
 
     def test_prefixed_datatype(self):
         got = parse_triples(':a ex:d "2015-01-01"^^xsd:date .\n', PREFIXES)
         (tr,) = got
-        assert tr.object == Literal("2015-01-01", XSD_DATE)
+        assert tr[2] == literal("2015-01-01", XSD_DATE)
 
     def test_full_iri_datatype(self):
         line = '<http://ex/a> <http://ex/d> "1.5"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n'
         (tr,) = parse_triples(line)
-        assert tr.object == Literal("1.5", XSD_DECIMAL)
+        assert tr[2] == literal("1.5", XSD_DECIMAL)
 
     def test_bare_literal_is_string(self):
         (tr,) = parse_triples('<http://ex/a> <http://ex/n> "John Doe" .\n')
-        assert tr.object == Literal("John Doe", XSD_STRING)
+        assert literal_parts(tr[2]) == ("John Doe", XSD_STRING)
 
     def test_escape_sequences(self):
         (tr,) = parse_triples('<http://ex/a> <http://ex/n> "say \\"hi\\"\\n\\t\\\\" .\n')
-        assert tr.object.lexical == 'say "hi"\n\t\\'
+        assert literal_parts(tr[2])[0] == 'say "hi"\n\t\\'
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# leading comment\n\n<http://ex/a> <http://ex/b> <http://ex/c> .\n   \n# end\n"
@@ -141,15 +141,15 @@ class TestParseErrors:
 
     def test_largest_scalar_values_accepted(self):
         (tr,) = parse_triples('<http://ex/a> <http://ex/b> "\\U0010FFFF\\uD7FF\\uE000" .\n')
-        assert tr.object.lexical == "\U0010ffff\ud7ff\ue000"
+        assert literal_parts(tr[2])[0] == "\U0010ffff\ud7ff\ue000"
 
 
 class TestSerialization:
     def test_sorted_and_newline_terminated(self):
         ts = TripleSet(
             [
-                t("http://ex/b", "http://ex/p", Iri("http://ex/x")),
-                t("http://ex/a", "http://ex/p", Literal("v", XSD_STRING)),
+                t("http://ex/b", "http://ex/p", "<http://ex/x>"),
+                t("http://ex/a", "http://ex/p", literal("v", XSD_STRING)),
             ]
         )
         text = serialize_triples(ts)
@@ -158,30 +158,31 @@ class TestSerialization:
         assert lines == sorted(lines)
 
     def test_render_escapes(self):
-        lit = Literal('a"b\\c\nd', XSD_STRING)
-        assert render_term(lit) == '"a\\"b\\\\c\\nd"'
+        assert literal('a"b\\c\nd', XSD_STRING) == '"a\\"b\\\\c\\nd"'
 
     def test_string_datatype_left_implicit(self):
-        line = render_triple(t("http://ex/a", "http://ex/p", Literal("v", XSD_STRING)))
-        assert line == '<http://ex/a> <http://ex/p> "v" .'
+        ts = TripleSet([t("http://ex/a", "http://ex/p", literal("v", XSD_STRING))])
+        line = serialize_triples(ts)
+        assert line == '<http://ex/a> <http://ex/p> "v" .\n'
 
     def test_non_string_datatype_explicit(self):
-        line = render_triple(t("http://ex/a", "http://ex/p", Literal("true", XSD_BOOLEAN)))
-        assert line.endswith('"true"^^<http://www.w3.org/2001/XMLSchema#boolean> .')
+        ts = TripleSet([t("http://ex/a", "http://ex/p", literal("true", XSD_BOOLEAN))])
+        line = serialize_triples(ts)
+        assert line.endswith('"true"^^<http://www.w3.org/2001/XMLSchema#boolean> .\n')
 
     def test_serialize_is_stable_under_input_order(self):
-        a = t("http://ex/a", "http://ex/p", Iri("http://ex/x"))
-        b = t("http://ex/b", "http://ex/p", Iri("http://ex/y"))
+        a = t("http://ex/a", "http://ex/p", "<http://ex/x>")
+        b = t("http://ex/b", "http://ex/p", "<http://ex/y>")
         assert serialize_triples(TripleSet([a, b])) == serialize_triples(TripleSet([b, a]))
 
 
-iris = st.sampled_from([Iri(f"http://ex/{n}") for n in "abcdefg"])
+iris = st.sampled_from([f"<http://ex/{n}>" for n in "abcdefg"])
 lexicals = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
     max_size=24,
 )
-objects = st.one_of(iris, st.builds(Literal, lexicals, st.just(XSD_STRING)))
-triples = st.builds(Triple, iris, iris, objects)
+objects = st.one_of(iris, st.builds(literal, lexicals, st.just(XSD_STRING)))
+triples = st.tuples(iris, iris, objects)
 
 
 class TestRoundTripProperty:
@@ -209,8 +210,8 @@ iri_values = st.text(
 blank_labels = st.text(alphabet="ab9_-.é", min_size=1, max_size=10).filter(
     lambda s: not s.endswith(".")
 )
-wire_iris = iri_values.map(Iri)
-nodes = st.one_of(wire_iris, blank_labels.map(BlankNode))
+wire_iris = iri_values.map(iri)
+nodes = st.one_of(wire_iris, blank_labels.map(lambda label: "_:" + label))
 separators = st.text(alphabet=" \t", min_size=1, max_size=3)
 
 
@@ -235,30 +236,29 @@ spelled_chars = literal_chars.flatmap(
 
 @st.composite
 def literal_terms(draw):
-    """(Literal, its wire spelling), with escapes chosen at random."""
+    """(literal term, one wire spelling of it), with escapes chosen at random."""
     pieces = draw(st.lists(spelled_chars, max_size=12))
     datatype = draw(st.one_of(st.just(XSD_STRING), iri_values))
     text = '"' + "".join(s for _, s in pieces) + '"'
     if datatype != XSD_STRING or draw(st.booleans()):
         text += f"^^<{datatype}>"
-    return Literal("".join(c for c, _ in pieces), datatype), text
+    return literal("".join(c for c, _ in pieces), datatype), text
 
 
 @st.composite
 def statement_lines(draw):
-    """(Triple, one wire line spelling it) with random whitespace runs."""
+    """(triple, one wire line spelling it) with random whitespace runs."""
     s, p = draw(nodes), draw(wire_iris)
     if draw(st.booleans()):
         o, o_text = draw(literal_terms())
     else:
-        o = draw(nodes)
-        o_text = render_term(o)
+        o = o_text = draw(nodes)
     line = "".join(
         [
             draw(st.text(alphabet=" \t", max_size=2)),
-            render_term(s),
+            s,
             draw(separators),
-            render_term(p),
+            p,
             draw(separators),
             o_text,
             draw(st.text(alphabet=" \t", max_size=2)),
@@ -266,18 +266,46 @@ def statement_lines(draw):
             draw(st.text(alphabet=" \t", max_size=2)),
         ]
     )
-    return Triple(s, p, o), line
+    return (s, p, o), line
 
 
 class TestScannerProperty:
     @settings(max_examples=300, deadline=None)
     @given(nodes, wire_iris, st.one_of(nodes, literal_terms().map(lambda lt: lt[0])))
     def test_parse_inverts_render_triple(self, s, p, o):
-        tr = Triple(s, p, o)
-        assert parse_triples(render_triple(tr)) == TripleSet([tr])
+        ts = TripleSet([(s, p, o)])
+        assert parse_triples(serialize_triples(ts)) == ts
 
     @settings(max_examples=300, deadline=None)
     @given(statement_lines())
     def test_any_spelling_parses_to_its_triple(self, case):
         tr, line = case
         assert parse_triples(line + "\n") == TripleSet([tr])
+
+
+# -- term spellings -------------------------------------------------------------
+
+# any text, with the characters a spelling escapes or splits at drawn often
+any_text = st.one_of(st.text(max_size=16), st.text(alphabet='"\\\n\r\t^<>_:a', max_size=16))
+# the scanner allows '"' inside an IRI, so a datatype may hold '"' and '"^^<'
+datatypes = st.one_of(
+    st.just(XSD_STRING),
+    any_text,
+    st.sampled_from(['x"y', '"^^<', 'a"^^<b', XSD_DATE + '"^^<' + XSD_DECIMAL]),
+)
+
+
+class TestTermProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(any_text, datatypes)
+    def test_literal_parts_inverts_literal(self, lexical, datatype):
+        term = literal(lexical, datatype)
+        assert is_literal(term)
+        assert literal_parts(term) == (lexical, datatype)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(any_text, any_text.map(lambda s: "_:" + s)))
+    def test_id_for_term_inverts_term_for_id(self, eid):
+        term = term_for_id(eid)
+        assert not is_literal(term)
+        assert id_for_term(term) == eid
