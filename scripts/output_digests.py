@@ -3,8 +3,9 @@
 Generates the ``census``, ``dense`` and ``provenance`` workloads at seed 1
 in a temporary directory, with the generator and the command sequence of
 ``benchmarks/run.py``, and runs each command in-process, plus
-``validate --format json``, ``infer --no-overlap-required`` and
-``rewrite --from-singleton`` of the singleton output.  Each line is
+``validate --format json``, ``infer --no-overlap-required``,
+``rewrite --from-singleton`` of the singleton output and ``query path`` on
+the workload's path pair at the CLI default ``--max-depth``.  Each line is
 ``label sha256``: one for the exit code with the stdout of each command,
 one for each ``--out`` file and one for each ``claims.jsonl`` it writes.
 
@@ -44,7 +45,7 @@ def _sha(data: bytes) -> str:
 
 def commands(bench) -> list:
     """(label, argv, --out file or None, store written or None): the
-    benchmark's sequence, then the three commands it does not run."""
+    benchmark's sequence, then the four commands it does not run."""
     cmds = bench.commands("digest")
     out = bench.ws / "digest_out"
     store = str(bench.store)
@@ -55,6 +56,8 @@ def commands(bench) -> list:
                         "--out", str(out / "edges_open.jsonl")], out / "edges_open.jsonl", None),
         ("from_singleton", ["rewrite", "--from-singleton", "--in", str(singleton),
                             "--out", str(out / "back.nt")], out / "back.nt", None),
+        ("query_path_default", ["query", "path", "--store", store, "--from", bench.w.path_pair[0],
+                                "--to", bench.w.path_pair[1]], None, None),
     ]
 
 

@@ -100,9 +100,6 @@ class RelationEdge:
             return True
         return self.interval.in_effect(d)
 
-    def touches(self, agent: str) -> bool:
-        return agent in (self.a, self.b)
-
     def other(self, agent: str) -> str:
         if agent == self.a:
             return self.b
@@ -150,16 +147,6 @@ class RelationGraph:
 
     def __repr__(self) -> str:
         return f"RelationGraph({len(self._edges)} edges, {len(self._adjacency)} agents)"
-
-    def filtered(self, kinds=None, at_date: Optional[date] = None) -> "RelationGraph":
-        out = RelationGraph()
-        for e in self._edges.values():
-            if kinds is not None and e.kind not in kinds:
-                continue
-            if not e.in_effect(at_date):
-                continue
-            out.add(e)
-        return out
 
 
 # -- temporal affiliation ----------------------------------------------------

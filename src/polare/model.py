@@ -12,9 +12,9 @@ its own invariants.
 
 All domain values are immutable after construction.  The graph itself is
 mutated only through :meth:`EntityGraph.add_all` (which
-:meth:`EntityGraph.add` calls with a batch of one) and
-:meth:`EntityGraph.remove`, which must be serialized by the caller; any
-number of readers may share a graph snapshot.  A batch is staged on its
+:meth:`EntityGraph.add` calls with a batch of one), which must be
+serialized by the caller; any number of readers may share a graph
+snapshot.  A batch is staged on its
 own, so each insert costs the size of the batch, not of the graph.
 """
 
@@ -756,12 +756,6 @@ class EntityGraph:
     def bindings(self) -> dict:
         return dict(self._bindings)
 
-    def resolve_concept(self, scheme_id: str, concept_id: str) -> Concept:
-        """Exact lookup of a concept inside a registered scheme."""
-        if scheme_id not in self._schemes:
-            raise UnknownSchemeError(f"scheme {scheme_id} not registered")
-        return self._schemes[scheme_id].concept(concept_id)
-
     def find_concept(self, concept_id: str) -> Optional[Concept]:
         return self._concepts.get(concept_id)
 
@@ -836,20 +830,6 @@ class EntityGraph:
                 self._check_parent_chain(entity, staged)
         self._entities.update(batch)
 
-    def remove(self, eid: str) -> None:
-        """Remove an entity; refused while anything still references it."""
-        if eid not in self._entities:
-            raise DanglingReferenceError(f"no entity {eid} to remove")
-        for other in self._entities.values():
-            if other.id == eid:
-                continue
-            for fld, ref, _ in iter_references(other):
-                if ref == eid:
-                    raise InvariantError(
-                        f"cannot remove {eid}: referenced by {other.id} field {fld}"
-                    )
-        del self._entities[eid]
-
     def dangling_refs(self) -> list:
         """Sorted (referrer id, field, missing id) for every unresolved
         reference; empty on referentially closed graphs."""
@@ -862,15 +842,6 @@ class EntityGraph:
                 if concept_id not in self._concepts:
                     out.append((e.id, fld, concept_id))
         return sorted(out)
-
-    def copy(self) -> "EntityGraph":
-        g = EntityGraph()
-        g._entities = dict(self._entities)
-        g._schemes = dict(self._schemes)
-        g._concepts = dict(self._concepts)
-        g._bindings = dict(self._bindings)
-        g.residue = self.residue
-        return g
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EntityGraph):

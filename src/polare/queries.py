@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import date
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import UnknownAgentError
 from .inference import FAMILY, RelationEdge, RelationGraph, check_edge_kinds
@@ -36,8 +36,7 @@ class PathQuery:
         object.__setattr__(self, "kinds", check_edge_kinds(self.kinds))
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     """One traversed edge; ``forward`` is False only when a directed family
     edge was walked against its direction."""
 
@@ -67,63 +66,68 @@ class Path:
             out.append(here)
         return out
 
-    def sort_key(self) -> tuple:
-        return (self.length, tuple(s.edge.key for s in self.steps))
+
+class _Hops(dict):
+    """agent -> its walkable hops as (PathStep, next agent) pairs in edge-key
+    order, under one query's kind and date filters; each agent's list is
+    built on its first lookup."""
+
+    def __init__(self, rg: RelationGraph, kinds, at_date):
+        super().__init__()
+        self.rg, self.kinds, self.at_date = rg, kinds, at_date
+
+    def __missing__(self, here: str) -> list:
+        kinds, at_date = self.kinds, self.at_date
+        hops = self[here] = []
+        for edge in self.rg.edges_touching(here):
+            if (kinds is not None and edge.kind not in kinds) or not edge.in_effect(at_date):
+                continue
+            if here == edge.a:
+                hops.append((PathStep(edge), edge.b))
+            elif not edge.directed:
+                hops.append((PathStep(edge), edge.a))
+            elif edge.kind == FAMILY:
+                hops.append((PathStep(edge, False), edge.a))
+        return hops
 
 
-def _usable(edge: RelationEdge, here: str, q_kinds, at_date) -> Optional[tuple]:
-    """(next agent, forward) when the edge can be walked from here."""
-    if q_kinds is not None and edge.kind not in q_kinds:
-        return None
-    if not edge.in_effect(at_date):
-        return None
-    if not edge.directed:
-        return (edge.other(here), True)
-    if here == edge.a:
-        return (edge.b, True)
-    if edge.kind == FAMILY and here == edge.b:
-        return (edge.a, False)
-    return None
+def _check_known(rg: RelationGraph, agents, *ids) -> None:
+    """``agents`` is the set of agents considered to exist; it defaults to
+    the edge endpoints, but callers holding the full entity graph can pass
+    its agent ids so edge-less agents query fine (and find nothing)."""
+    known = set(rg.agents()) if agents is None else set(agents)
+    for agent in ids:
+        if agent not in known:
+            raise UnknownAgentError(f"no agent {agent}")
 
 
 def find_paths(rg: RelationGraph, q: PathQuery, agents=None) -> list:
     """Every simple path from source to target within the depth bound,
-    sorted by (length, edge keys).
-
-    ``agents`` is the set of agents considered to exist; it defaults to the
-    edge endpoints, but callers holding the full entity graph can pass its
-    agent ids so edge-less agents query fine (and return no paths).
-    """
-    known = set(rg.agents()) if agents is None else set(agents)
-    if q.source not in known:
-        raise UnknownAgentError(f"no agent {q.source}")
-    if q.target not in known:
-        raise UnknownAgentError(f"no agent {q.target}")
+    sorted by (length, edge keys); see ``_check_known`` on ``agents``."""
+    _check_known(rg, agents, q.source, q.target)
+    hops = _Hops(rg, q.kinds, q.at_date)
     results = []
     steps: list = []
     visited = {q.source}
 
     def walk(here: str) -> None:
-        if len(steps) >= q.max_depth:
-            return
-        for edge in rg.edges_touching(here):
-            hop = _usable(edge, here, q.kinds, q.at_date)
-            if hop is None:
-                continue
-            nxt, forward = hop
+        for step, nxt in hops[here]:
             if nxt in visited:
                 continue
-            steps.append(PathStep(edge, forward))
+            steps.append(step)
             if nxt == q.target:
                 results.append(Path(q.source, q.target, tuple(steps)))
-            else:
+            elif len(steps) < q.max_depth:
                 visited.add(nxt)
                 walk(nxt)
                 visited.discard(nxt)
             steps.pop()
 
     walk(q.source)
-    return sorted(results, key=Path.sort_key)
+    # the walk emits paths in edge-key order, so a stable sort by length
+    # leaves them in (length, edge keys) order
+    results.sort(key=lambda p: p.length)
+    return results
 
 
 def neighborhood(
@@ -136,31 +140,24 @@ def neighborhood(
 ) -> RelationGraph:
     """Every edge reachable from the agent within the hop budget, as a
     relation graph of its own (breadth-first truncation).  An existing but
-    edge-less agent yields an empty graph; see ``find_paths`` on ``agents``."""
+    edge-less agent yields an empty graph; see ``_check_known`` on
+    ``agents``."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    known = set(rg.agents()) if agents is None else set(agents)
-    if agent not in known:
-        raise UnknownAgentError(f"no agent {agent}")
-    kinds = check_edge_kinds(kinds)
+    _check_known(rg, agents, agent)
+    hops = _Hops(rg, check_edge_kinds(kinds), at_date)
     out = RelationGraph()
-    dist = {agent: 0}
+    seen = {agent}
     frontier = [agent]
-    hops = 0
-    while frontier and hops < depth:
+    for _ in range(depth):
         nxt = []
         for here in frontier:
-            for edge in rg.edges_touching(here):
-                hop = _usable(edge, here, kinds, at_date)
-                if hop is None:
-                    continue
-                there = hop[0]
-                out.add(edge)
-                if there not in dist:
-                    dist[there] = hops + 1
+            for step, there in hops[here]:
+                out.add(step.edge)
+                if there not in seen:
+                    seen.add(there)
                     nxt.append(there)
         frontier = nxt
-        hops += 1
     return out
 
 

@@ -109,12 +109,6 @@ class ValidationReport:
             out[v.code] = out.get(v.code, 0) + 1
         return out
 
-    def counts_by_severity(self) -> dict:
-        out: dict = {}
-        for v in self.violations:
-            out[v.severity] = out.get(v.severity, 0) + 1
-        return out
-
     def to_json(self) -> str:
         payload = {
             "conforms": self.conforms,

@@ -45,11 +45,6 @@ DC_TITLE = DC + "title"
 DC_DATE = DC + "date"
 
 SKOS = "http://www.w3.org/2004/02/skos/core#"
-SKOS_CONCEPT = SKOS + "Concept"
-SKOS_CONCEPT_SCHEME = SKOS + "ConceptScheme"
-SKOS_IN_SCHEME = SKOS + "inScheme"
-SKOS_BROADER = SKOS + "broader"
-SKOS_PREF_LABEL = SKOS + "prefLabel"
 
 POL = "http://polare.org/ns#"
 POL_DIRECT_REL = POL + "DirectRel"

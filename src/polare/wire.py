@@ -196,6 +196,8 @@ class _LineScanner:
             self.error("unterminated IRI", column=start + 1)
         if close == start + 1:
             self.error("empty IRI", column=start + 1)
+        if text.startswith("_:", start + 1):  # an IRI scheme starts with a letter
+            self.error("IRI may not start with '_:'", column=start + 1)
         self.pos = close + 1
         return text[start : close + 1]
 

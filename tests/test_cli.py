@@ -15,6 +15,8 @@ OVERLAP = FIXTURES / "overlap_store"
 
 JOHN = "http://polare.org/fx/person/john"
 MARY = "http://polare.org/fx/person/mary"
+#: a blank node label; ``<{BNODE}>`` is an IRIREF that starts like one
+BNODE = "_:a"
 
 
 def run(capsys, *argv):
@@ -181,6 +183,16 @@ class TestIngest:
         assert code == 2
         assert err.startswith("error:") and "9999" in err
 
+    def test_iriref_starting_like_a_blank_node_is_usage_error(self, capsys, tmp_path):
+        claim = json.loads((OVERLAP / "claims.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        claim["assertion"] = f"<{BNODE}> <http://ex/b> <http://ex/c> .\n"
+        bad = tmp_path / "bnode.jsonl"
+        bad.write_text(json.dumps(claim) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "ingest", "--claims", str(bad), "--store", str(tmp_path / "s"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "IRI may not start with '_:'" in err
+
     def test_batch_repeating_a_claim_counts_duplicates(self, capsys, tmp_path):
         line = (OVERLAP / "claims.jsonl").read_text(encoding="utf-8").splitlines()[0]
         batch = tmp_path / "batch.jsonl"
@@ -335,6 +347,24 @@ class TestRewrite:
             capsys, "rewrite", "--to-singleton", "--in", str(bad), "--out", str(tmp_path / "o.nt")
         )
         assert code == 2 and "error" in err.lower()
+
+    def test_iriref_starting_like_a_blank_node(self, capsys, tmp_path):
+        # as an IRI it must not become the blank node _:a on the way out
+        bad = tmp_path / "bnode.nt"
+        bad.write_text(
+            f"<{BNODE}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+            "<http://xmlns.com/foaf/0.1/Person> .\n"
+            f'<{BNODE}> <http://xmlns.com/foaf/0.1/name> "A" .\n',
+            encoding="utf-8",
+        )
+        for direction in ("--to-singleton", "--from-singleton"):
+            code, out, err = run(
+                capsys, "rewrite", direction, "--in", str(bad), "--out", str(tmp_path / "o.nt")
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "line 1, column 1" in err and "IRI may not start with '_:'" in err
+        assert not (tmp_path / "o.nt").exists()
 
 
 class TestExport:

@@ -29,6 +29,7 @@ def store_commands(store: str, work: Path) -> list:
     """(label, argv, --out file or None) in run order: the rewrites read the
     export written before them."""
     tribunal = ["--asserters", str(FIXTURES / "asserters_tribunal.json")]
+    filters = ["--kinds", "family,co_membership,co_case", "--at-date", "2018-03-01"]
     export, single, back = (work / name for name in ("export.nt", "singleton.nt", "back.nt"))
     edges, edges_open = work / "edges.jsonl", work / "edges_open.jsonl"
     return [
@@ -45,6 +46,12 @@ def store_commands(store: str, work: Path) -> list:
                         "--max-depth", "3"], None),
         ("query_neighborhood", ["query", "neighborhood", "--store", store, "--agent", JOHN,
                                 "--depth", "2"], None),
+        ("query_path_default", ["query", "path", "--store", store, "--from", JOHN, "--to", MARY],
+         None),
+        ("query_path_filtered", ["query", "path", "--store", store, "--from", JOHN, "--to", MARY,
+                                 "--max-depth", "3", *filters], None),
+        ("query_neighborhood_filtered", ["query", "neighborhood", "--store", store,
+                                         "--agent", JOHN, "--depth", "2", *filters], None),
         ("to_singleton", ["rewrite", "--to-singleton", "--in", str(export),
                           "--out", str(single)], single),
         ("from_singleton", ["rewrite", "--from-singleton", "--in", str(single),
@@ -93,6 +100,9 @@ GOLDEN = {
         "export": "038e9ce4f5c9831bea77e9ddfa84099097bccebdc32387e78f49db9cf81aac2d",
         "query_path": "f7911d25f52fd1067b74eb3e06dbf81ff5020ea177e2bed7f4f84a947d0f1988",
         "query_neighborhood": "5a68723482f3d0837aab04654f91a878eaf31ddacd2e2213d5617a90de8f6867",
+        "query_path_default": "f7911d25f52fd1067b74eb3e06dbf81ff5020ea177e2bed7f4f84a947d0f1988",
+        "query_path_filtered": "acc7103dbc93d862c4870db1fd2ed463abefe2d81980dd697f805c1513d11355",
+        "query_neighborhood_filtered": "fb41a808923e281f48f21abcc84ebc30f000ba0a7761f6d5b6a654fe22d7eeec",
         "to_singleton": "365ea3f15372efc85a7a6f22bbf8122029ed3ed840b82f4a1e4eecd49185ed87",
         "from_singleton": "038e9ce4f5c9831bea77e9ddfa84099097bccebdc32387e78f49db9cf81aac2d",
     },
@@ -106,6 +116,9 @@ GOLDEN = {
         "export": "255a8833744a798462227c0a9f821f42d7a12aeaa0d6d7f814110ce3e372babb",
         "query_path": "e5a6174544772b0afe4c8294463e9939972bf4402f0995a74d85fb0e43c38f89",
         "query_neighborhood": "7a4e5eca23dfabdbebce993fafbd9a9dc7a38466733c7a4c301e039ac7db50f8",
+        "query_path_default": "e5a6174544772b0afe4c8294463e9939972bf4402f0995a74d85fb0e43c38f89",
+        "query_path_filtered": "c0b0bbaed78e12fd51b184900f58deabadd9747d5c9e53e9d592e9736bf3cc6b",
+        "query_neighborhood_filtered": "c0b0bbaed78e12fd51b184900f58deabadd9747d5c9e53e9d592e9736bf3cc6b",
         "to_singleton": "f14479a343775578e105663e1a2453282af421a15de33fe6d17c6d97f27d3673",
         "from_singleton": "255a8833744a798462227c0a9f821f42d7a12aeaa0d6d7f814110ce3e372babb",
     },

@@ -219,19 +219,22 @@ class TestConceptSchemes:
 
     def test_resolve_known_concept(self):
         g = EntityGraph(ALL_SCHEMES, BINDINGS)
-        c = g.resolve_concept(FAMILY_SCHEME.id, FAMILY_SCHEME.concepts[0].id)
+        c = g.find_concept(FAMILY_SCHEME.concepts[0].id)
         assert isinstance(c, Concept)
         assert c.scheme == FAMILY_SCHEME.id
+        assert g.schemes[FAMILY_SCHEME.id].concept(c.id) == c
 
     def test_resolve_unknown_concept_raises(self):
         g = EntityGraph(ALL_SCHEMES, BINDINGS)
+        assert g.find_concept("http://t.pol/none") is None
         with pytest.raises(UnknownConceptError):
-            g.resolve_concept(FAMILY_SCHEME.id, "http://t.pol/none")
+            g.schemes[FAMILY_SCHEME.id].concept("http://t.pol/none")
 
     def test_resolve_unknown_scheme_raises(self):
         g = EntityGraph(ALL_SCHEMES, BINDINGS)
         with pytest.raises(UnknownSchemeError):
-            g.resolve_concept("http://t.pol/no-scheme", FAMILY_SCHEME.concepts[0].id)
+            g.register_bindings({"Post.role": "http://t.pol/no-scheme"})
+        assert g.bindings == EntityGraph(ALL_SCHEMES, BINDINGS).bindings
 
     def test_symmetric_flag_carried(self):
         sib = next(c for c in FAMILY_SCHEME.concepts if c.id.endswith("siblingOf"))
@@ -301,24 +304,6 @@ class TestEntityGraph:
         with pytest.raises(DuplicateIdError):
             g.add(Person("x:p", "Q"))
 
-    def test_remove_refuses_while_referenced(self):
-        from .genfixtures import CLASS_SCHEME, ROLE_SCHEME, concept_ids
-
-        g = EntityGraph(ALL_SCHEMES, BINDINGS)
-        g.add_all(
-            [
-                Person("x:p", "P"),
-                Organization("x:o", "O", concept_ids(CLASS_SCHEME)[0]),
-                Post("x:post", "x:o", concept_ids(ROLE_SCHEME)[0]),
-                Membership("x:m", "x:p", "x:post", TimeInterval(None, None)),
-            ]
-        )
-        with pytest.raises(InvariantError):
-            g.remove("x:p")
-        g.remove("x:m")
-        g.remove("x:p")  # now unreferenced
-        assert g.get("x:p") is None
-
     def test_is_agent(self):
         from .genfixtures import CLASS_SCHEME, concept_ids
 
@@ -332,13 +317,6 @@ class TestEntityGraph:
         g = EntityGraph()
         g.add_all([Person("x:b", "B"), Person("x:a", "A")])
         assert [p.id for p in g.of_type(Person)] == ["x:a", "x:b"]
-
-    def test_copy_is_independent(self):
-        g = EntityGraph()
-        g.add(Person("x:p", "P"))
-        g2 = g.copy()
-        g2.add(Person("x:q", "Q"))
-        assert g.get("x:q") is None and g2.get("x:q") is not None
 
     def test_iter_references_covers_membership(self):
         m = Membership("x:m", "x:p", "x:post", TimeInterval(None, None))

@@ -1,10 +1,12 @@
 import random
-from datetime import date
+from dataclasses import replace
+from datetime import date, timedelta
 
 import pytest
 
 from polare.errors import UnknownAgentError
 from polare.inference import (
+    ALL_KINDS,
     CANDIDACY_POST,
     CO_MEMBERSHIP,
     FAMILY,
@@ -25,7 +27,7 @@ from polare.queries import (
 )
 
 from .genfixtures import random_relation_graph
-from .oracles import all_simple_paths, reachable_edges_bfs
+from .oracles import all_simple_paths, covers_day, reachable_edges_bfs
 
 
 def edge(a, b, kind=CO_MEMBERSHIP, detail="x:o", directed=False, interval=None):
@@ -138,7 +140,8 @@ class TestTraversal:
         )
         paths = find_paths(rg, PathQuery("x:a", "x:c"))
         assert [p.length for p in paths] == [1, 1, 2]
-        assert paths[0].sort_key() < paths[1].sort_key() < paths[2].sort_key()
+        keys = [(p.length, [s.edge.key for s in p.steps]) for p in paths]
+        assert keys[0] < keys[1] < keys[2]
 
     def test_path_agents(self):
         rg = graph_of(edge("x:a", "x:b"), edge("x:b", "x:c"))
@@ -163,6 +166,68 @@ class TestPathOracle:
                 ]
                 want = all_simple_paths([plain(e) for e in rg.edges()], src, dst, depth)
                 assert got == want
+
+
+def random_day(rng):
+    return date(2016, 1, 1) + timedelta(days=rng.randint(0, 90))
+
+
+def random_interval(rng):
+    """None, or an interval whose bounds are each a day or open."""
+    if rng.random() < 0.25:
+        return None
+    start, end = (random_day(rng) if rng.random() < 0.7 else None for _ in range(2))
+    if start is not None and end is not None and start > end:
+        start, end = end, start
+    return TimeInterval(start, end)
+
+
+def dated(e):
+    span = e.interval
+    return {**plain(e), "start": span and span.start, "end": span and span.end}
+
+
+class TestFilteredOracle:
+    """``kinds`` and ``at_date`` against the oracles run on the edge dicts
+    that pass both filters, decided here from the raw bounds."""
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            rg, _ = random_relation_graph(rng, max_agents=12, max_edges=40)
+            rg = graph_of(*(replace(e, interval=random_interval(rng)) for e in rg.edges()))
+            kinds = frozenset(k for k in sorted(ALL_KINDS) if rng.random() < 0.6)
+            at = random_day(rng)
+            kept = [
+                d
+                for d in map(dated, rg.edges())
+                if d["kind"] in kinds and covers_day(d["start"], d["end"], at)
+            ]
+            yield rng, rg, kinds, at, kept
+
+    def test_paths_match_brute_force(self):
+        found = dropped = 0
+        for rng, rg, kinds, at, kept in self.cases(1717):
+            dropped += len(rg) - len(kept)
+            for _ in range(6):
+                src, dst = rng.sample(rg.agents(), k=2)
+                depth = rng.randint(1, 4)
+                q = PathQuery(src, dst, max_depth=depth, kinds=kinds, at_date=at)
+                got = [tuple((s.edge.key, s.forward) for s in p.steps) for p in find_paths(rg, q)]
+                assert got == all_simple_paths(kept, src, dst, depth)
+                found += len(got)
+        assert found > 100 and dropped > 100
+
+    def test_neighborhood_matches_bfs(self):
+        found = 0
+        for rng, rg, kinds, at, kept in self.cases(2929):
+            for _ in range(4):
+                agent = rng.choice(rg.agents())
+                depth = rng.randint(1, 3)
+                got = {e.key for e in neighborhood(rg, agent, depth, kinds, at).edges()}
+                assert got == reachable_edges_bfs(kept, agent, depth)
+                found += len(got)
+        assert found > 100
 
 
 class TestNeighborhood:
