@@ -10,19 +10,29 @@ A claim is built, sorted and hashed exactly once: ``Claim`` sorts its
 triples, whose terms are their canonical spellings, and hashes the text
 they join into, and ``ClaimStore.add`` files an already-built claim, so
 replaying a claims file builds one ``Claim`` per line.
+
+Replay hashes a stored line that is already canonical as it stands.  When
+a line's assertion is the canonical text of its triples
+(:func:`polare.wire.split_canonical`) and its timestamp is the UTC
+isoformat that :func:`claim_to_json` writes, the claim takes the triples
+from one regex pass and its id hashes the stored text, with no scan and no
+sort.  Any other line (hand-edited, reordered, escaped differently, or
+timestamped in another zone) goes through the full ``parse_triples`` and
+``canonicalize``, so its id is the same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ClaimError, EmptyAssertionError, StoreError, WireParseError
-from .wire import TripleSet, canonicalize, parse_triples, serialize_triples
+from .wire import TripleSet, canonicalize, is_canonical, join_triples, parse_triples, split_canonical
 
 Pathish = Union[str, Path]
 
@@ -45,33 +55,44 @@ def parse_timestamp(text: str) -> datetime:
     return _canonical_timestamp(parsed)
 
 
+def _claim_id(text: str, asserter: str, timestamp: str) -> str:
+    """Content address over the canonical assertion text, the asserter and
+    the UTC timestamp's isoformat."""
+    digest = hashlib.sha256(text.encode("utf-8"))
+    digest.update(b"\x00" + asserter.encode("utf-8"))
+    digest.update(b"\x00" + timestamp.encode("utf-8"))
+    return "urn:claim:" + digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class Claim:
     """One assertion event: who said what, where, when.
 
     The id is content-addressed over (assertion, asserter, timestamp), so
-    re-reading the same claim file yields the same ids.
+    re-reading the same claim file yields the same ids.  A caller that
+    passes ``canonical_text`` vouches that ``assertion`` is already
+    distinct, non-empty and in canonical order and that the text is its
+    canonical text; the claim then neither sorts nor joins it.
     """
 
     asserter: str
     source: str
     timestamp: datetime
     assertion: tuple
+    canonical_text: InitVar[Optional[str]] = None
     id: str = field(init=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, canonical_text):
         if not self.asserter:
             raise ClaimError("claim asserter must be non-empty")
-        ordered, text = canonicalize(self.assertion)
-        if not ordered:
-            raise EmptyAssertionError("claim assertion must contain at least one triple")
-        object.__setattr__(self, "assertion", tuple(ordered))
+        if canonical_text is None:
+            ordered, canonical_text = canonicalize(self.assertion)
+            if not ordered:
+                raise EmptyAssertionError("claim assertion must contain at least one triple")
+            object.__setattr__(self, "assertion", tuple(ordered))
         object.__setattr__(self, "timestamp", _canonical_timestamp(self.timestamp))
-        digest = hashlib.sha256()
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\x00" + self.asserter.encode("utf-8"))
-        digest.update(b"\x00" + self.timestamp.isoformat().encode("utf-8"))
-        object.__setattr__(self, "id", "urn:claim:" + digest.hexdigest())
+        claim_id = _claim_id(canonical_text, self.asserter, self.timestamp.isoformat())
+        object.__setattr__(self, "id", claim_id)
 
 
 @dataclass(frozen=True)
@@ -167,14 +188,14 @@ def claim_to_json(claim: Claim) -> str:
         "asserter": claim.asserter,
         "source": claim.source,
         "timestamp": claim.timestamp.isoformat(),
-        "assertion": serialize_triples(claim.assertion),
+        "assertion": join_triples(claim.assertion),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def claim_from_json(line: str, origin: str = "claims") -> Claim:
-    """One claim-file line -> Claim; every failure is a :class:`StoreError`
-    naming ``origin``."""
+def _claim_fields(line: str, origin: str) -> dict:
+    """The JSON object of one claim-file line, with its four fields checked
+    to be strings that encode as UTF-8."""
     try:
         data = json.loads(line)
     except (ValueError, RecursionError) as e:  # also the decoder's digit and depth limits
@@ -189,21 +210,54 @@ def claim_from_json(line: str, origin: str = "claims") -> Claim:
             value.encode("utf-8")
         except UnicodeEncodeError as e:  # a lone surrogate escape such as "\ud800"
             raise StoreError(f"{origin}: claim field {key!r} is not valid Unicode: {e}") from None
+    return data
+
+
+def _logged_timestamp(data: dict, origin: str) -> Optional[datetime]:
+    """The claim's timestamp when it is spelled as :func:`claim_to_json`
+    writes it, so that the id hashes the stored text; None otherwise."""
     try:
-        assertion = parse_triples(data["assertion"], {})
-    except WireParseError as e:
-        raise StoreError(f"{origin}: bad assertion payload: {e}") from e
+        timestamp = parse_timestamp(data["timestamp"])
+    except ClaimError as e:
+        raise StoreError(f"{origin}: {e}") from e
+    return timestamp if timestamp.isoformat() == data["timestamp"] else None
+
+
+def claim_from_json(line: str, origin: str = "claims") -> Claim:
+    """One claim-file line -> Claim; every failure is a :class:`StoreError`
+    naming ``origin``.  A line spelled as :func:`claim_to_json` writes it
+    is hashed as it stands; any other goes through the full parse."""
+    data = _claim_fields(line, origin)
+    text = data["assertion"]
+    triples = split_canonical(text)
+    timestamp = None if triples is None else _logged_timestamp(data, origin)
+    if timestamp is None:  # not spelled as claim_to_json writes it: the full parse
+        try:
+            triples = parse_triples(text, {})
+        except WireParseError as e:
+            raise StoreError(f"{origin}: bad assertion payload: {e}") from e
+        text = None
     try:
-        return Claim(
-            data["asserter"], data["source"], parse_timestamp(data["timestamp"]), tuple(assertion)
-        )
+        if timestamp is None:
+            timestamp = parse_timestamp(data["timestamp"])
+        return Claim(data["asserter"], data["source"], timestamp, tuple(triples), text)
     except ClaimError as e:
         raise StoreError(f"{origin}: {e}") from e
 
 
-def read_claims(path: Pathish) -> list:
-    """Parse a claims file into Claim objects, preserving line order."""
-    path = Path(path)
+def _claim_id_from_json(line: str, origin: str) -> str:
+    """The id :func:`claim_from_json` gives ``line``, with the same checks;
+    a canonical assertion is checked but not split into triples."""
+    data = _claim_fields(line, origin)
+    text, asserter = data["assertion"], data["asserter"]
+    if asserter and is_canonical(text) and _logged_timestamp(data, origin) is not None:
+        return _claim_id(text, asserter, data["timestamp"])
+    return claim_from_json(line, origin).id
+
+
+def _log_lines(path: Path) -> Iterator:
+    """``(line, origin)`` for each non-blank line of a claims file, where
+    origin is ``path:line_number``."""
     try:
         data = path.read_bytes()
     except OSError as e:
@@ -213,21 +267,34 @@ def read_claims(path: Pathish) -> list:
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1  # numbered as the loop below numbers it
         raise StoreError(f"{path}:{line}: not valid UTF-8: {e}") from None
-    out = []
     # JSON Lines break at "\n" only; U+2028 and the like may sit raw in a string
     for i, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        out.append(claim_from_json(line, f"{path}:{i}"))
-    return out
+        if line.strip():
+            yield line, f"{path}:{i}"
+
+
+def read_claims(path: Pathish) -> list:
+    """Parse a claims file into Claim objects, preserving line order."""
+    return [claim_from_json(line, origin) for line, origin in _log_lines(Path(path))]
+
+
+def read_claim_ids(path: Pathish) -> list:
+    """The id of each claim in a claims file, in line order, with every
+    check :func:`read_claims` makes."""
+    return [_claim_id_from_json(line, origin) for line, origin in _log_lines(Path(path))]
 
 
 def write_claims(claims: Iterable, path: Pathish, append: bool = False) -> None:
-    path = Path(path)
-    mode = "a" if append else "w"
-    with path.open(mode, encoding="utf-8") as fh:
-        for claim in claims:
-            fh.write(claim_to_json(claim) + "\n")
+    """Write claims one JSON line each, in one ``write`` call.  An append to
+    a file whose last line has no newline starts on a fresh line, so the
+    batch never runs into that line."""
+    batch = "".join(claim_to_json(claim) + "\n" for claim in claims).encode("utf-8")
+    with Path(path).open("a+b" if append else "wb") as fh:
+        if append and fh.seek(0, os.SEEK_END) > 0:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                batch = b"\n" + batch
+        fh.write(batch)
 
 
 def load_claimstore(path: Pathish) -> ClaimStore:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .claims import ClaimStore, load_claimstore, read_claims, write_claims
+from .claims import ClaimStore, load_claimstore, read_claim_ids, write_claims
 from .errors import StoreError
 from .mapping import assemble_entities
 from .model import EntityGraph
@@ -76,11 +76,13 @@ class Store:
         Ownership order is replay order of the file, so duplicates (same
         content id, in the log or earlier in the batch) are skipped rather
         than re-appended.  Only the ids of the logged claims are needed, not
-        their ownership index.
+        their ownership index, so canonical log lines are checked and hashed
+        but not split into triples.  The batch is one write that starts on
+        a fresh line.
         """
         seen = set()
         if self.claims_path.exists():
-            seen = {claim.id for claim in read_claims(self.claims_path)}
+            seen = set(read_claim_ids(self.claims_path))
         fresh = []
         duplicates = 0
         for claim in claims:

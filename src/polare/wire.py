@@ -34,12 +34,19 @@ literal is sliced out whole unless it holds a backslash, and only then
 decoded escape by escape; a ``\u``/``\U`` escape must name a Unicode scalar
 value, as UCHAR does in RDF 1.1 N-Triples, so surrogates and code points
 past U+10FFFF are rejected.  Every :class:`WireParseError` carries the exact
-1-based line and column of the offending character.
+1-based line and column of the offending character.  An IRI that a prefixed
+name expands to is held to the IRIREF rule, and a fault in it is reported
+at the prefixed name's column.
+
+:func:`split_canonical` recognizes text that is already canonical, as
+:func:`canonicalize` writes it, with one precompiled regex and one pass
+over its lines, and returns its triples without scanning it term by term.
 """
 
 from __future__ import annotations
 
 import re
+from operator import lt
 from typing import Iterable, Iterator, Optional
 
 from .errors import UnknownPrefixError, WireParseError
@@ -136,11 +143,17 @@ class TripleSet:
         return f"TripleSet({len(self._items)} triples)"
 
 
+def join_triples(ordered: Iterable[tuple]) -> str:
+    """The canonical text of triples that are already distinct and in
+    canonical order: one ``S P O .`` line each."""
+    return "".join(f"{s} {p} {o} .\n" for s, p, o in ordered)
+
+
 def canonicalize(triples: Iterable[tuple]) -> tuple:
     """``(ordered, text)``: the distinct triples in canonical order, which is
     the tuple order of their spellings, and their canonical text."""
     ordered = sorted(set(triples))
-    return ordered, "".join(f"{s} {p} {o} .\n" for s, p, o in ordered)
+    return ordered, join_triples(ordered)
 
 
 def serialize_triples(ts: TripleSet) -> str:
@@ -149,12 +162,59 @@ def serialize_triples(ts: TripleSet) -> str:
     return canonicalize(ts)[1]
 
 
+# the canonical spelling of each term, exactly as the scanner and literal()
+# write it: an IRI body without " \t<>\n" that does not open like a blank
+# node, a blank label not ending in ".", a lexical form holding only the
+# five escapes literal() writes, and never an explicit xsd:string
+_C_IRI = r"<(?!_:)[^ \t<>\n]+>"
+_C_NODE = _C_IRI + r"|_:[\w.-]*[\w-]"
+_C_LITERAL = (
+    r'"[^"\\\n\r\t]*(?:\\[\\"nrt][^"\\\n\r\t]*)*"'
+    rf"(?:\^\^(?!<{re.escape(XSD_STRING)}>){_C_IRI})?"
+)
+_CANONICAL_LINE = re.compile(rf"({_C_NODE}) ({_C_IRI}) ({_C_NODE}|{_C_LITERAL}) \.\n")
+_CANONICAL_TEXT = re.compile(rf"(?:(?:{_C_NODE}) (?:{_C_IRI}) (?:{_C_NODE}|{_C_LITERAL}) \.\n)+")
+
+
+def is_canonical(text: str) -> bool:
+    """Whether ``text`` is exactly what :func:`canonicalize` writes for the
+    triples it spells: every line one canonical ``S P O .``, lines strictly
+    increasing.  For canonical lines string order is tuple order: where one
+    term is a proper prefix of another, the longer one goes on with a
+    character above the space that follows the shorter one in its line."""
+    if _CANONICAL_TEXT.fullmatch(text) is None:
+        return False
+    lines = text.split("\n")  # the last item is the "" after the final newline
+    return all(map(lt, lines, lines[1:-1]))
+
+
+def split_canonical(text: str) -> Optional[list]:
+    """The triples of ``text`` in canonical order when :func:`is_canonical`
+    holds, so that ``canonicalize(result)[1] == text``; otherwise None."""
+    return _CANONICAL_LINE.findall(text) if is_canonical(text) else None
+
+
 _WS = re.compile(r"[ \t]*")
-_IRI_FORBIDDEN = re.compile(r"[ \t<]")
+# ">" and "\n" cannot occur in an IRIREF's body, but can in a prefix map's
+_IRI_FORBIDDEN = re.compile(r"[ \t<>\n]")
 _BLANK_LABEL = re.compile(r"[\w.-]*")  # \w is str.isalnum() plus "_"
 _PNAME = re.compile(r"[^ \t]*")
 _LITERAL_RUN = re.compile(r'[^"\\]*')  # up to the closing quote or an escape
 _HEX = frozenset("0123456789abcdefABCDEF")
+
+
+def _iri_fault(value: str) -> tuple:
+    """``(offset, reason)`` for the first rule the IRI ``value`` breaks:
+    offset is that of a forbidden character, None for a fault of the whole
+    value; ``(None, None)`` when it breaks none."""
+    bad = _IRI_FORBIDDEN.search(value)
+    if bad:
+        return bad.start(), f"character {bad.group()!r} not allowed inside IRI"
+    if not value:
+        return None, "empty IRI"
+    if value.startswith("_:"):  # an IRI scheme starts with a letter
+        return None, "IRI may not start with '_:'"
+    return None, None
 
 
 class _LineScanner:
@@ -189,15 +249,13 @@ class _LineScanner:
         """An IRIREF, spelled as it stands in the input."""
         text, start = self.text, self.pos
         close = text.find(">", start + 1)
-        bad = _IRI_FORBIDDEN.search(text, start + 1, len(text) if close < 0 else close)
-        if bad:
-            self.error(f"character {bad.group()!r} not allowed inside IRI", column=bad.start() + 1)
+        offset, fault = _iri_fault(text[start + 1 : len(text) if close < 0 else close])
+        if offset is not None:
+            self.error(fault, column=start + 2 + offset)
         if close < 0:
             self.error("unterminated IRI", column=start + 1)
-        if close == start + 1:
-            self.error("empty IRI", column=start + 1)
-        if text.startswith("_:", start + 1):  # an IRI scheme starts with a letter
-            self.error("IRI may not start with '_:'", column=start + 1)
+        if fault:
+            self.error(fault, column=start + 1)
         self.pos = close + 1
         return text[start : close + 1]
 
@@ -212,7 +270,8 @@ class _LineScanner:
         return self.text[start : self.pos]
 
     def scan_pname_iri(self) -> str:
-        """Scan a prefixed name and expand it through the prefix map."""
+        """Scan a prefixed name and expand it through the prefix map into an
+        IRI that obeys the IRIREF rule; a fault is reported at the name."""
         start = self.pos
         end = _PNAME.match(self.text, start).end()
         token = self.text[start:end].rstrip(".")
@@ -222,7 +281,11 @@ class _LineScanner:
         prefix, _, local = token.partition(":")
         if prefix not in self.prefixes:
             raise UnknownPrefixError(self.line, start + 1, prefix)
-        return self.prefixes[prefix] + local
+        value = self.prefixes[prefix] + local
+        fault = _iri_fault(value)[1]
+        if fault:
+            self.error(fault, column=start + 1)
+        return value
 
     def scan_literal(self) -> str:
         text, start = self.text, self.pos

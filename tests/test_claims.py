@@ -3,11 +3,13 @@ import random
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polare import claims as claims_module
 from polare.claims import (
     Claim,
     ClaimStore,
@@ -16,13 +18,23 @@ from polare.claims import (
     claim_to_json,
     load_claimstore,
     parse_timestamp,
+    read_claim_ids,
     read_claims,
     write_claims,
 )
 from polare.errors import ClaimError, EmptyAssertionError, PolareError, StoreError
-from polare.wire import TripleSet, literal, serialize_triples
+from polare.wire import (
+    XSD_STRING,
+    TripleSet,
+    literal,
+    literal_parts,
+    parse_triples,
+    serialize_triples,
+    split_canonical,
+)
 
 from .oracles import filter_claims_scan, first_writer_owner
+from .test_wire import any_triples
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 #: instants whose UTC equivalent falls outside datetime's range
@@ -328,12 +340,148 @@ class TestClaimFiles:
                 read_claims(path)
             assert f"{path}:2:" in str(exc.value)
 
+    def test_append_to_a_log_without_final_newline(self, tmp_path):
+        # the batch starts on a fresh line instead of running into the last claim
+        path = tmp_path / "claims.jsonl"
+        path.write_text(claim_to_json(claim()), encoding="utf-8")
+        later = [claim(ts=datetime(2022, 2, 2, tzinfo=timezone.utc)), claim("http://x/b")]
+        write_claims(later, path, append=True)
+        assert read_claims(path) == [claim(), *later]
+        assert path.read_text(encoding="utf-8").count("\n") == 3
+
+    def test_claim_ids_match_read_claims(self, tmp_path):
+        canonical = claim_to_json(claim("http://x/a", T0, 2, 1))
+        respelled = json.loads(canonical)
+        respelled["timestamp"] = "2020-01-01T00:00:00Z"
+        respelled["assertion"] = "".join(reversed(respelled["assertion"].splitlines(True)))
+        path = tmp_path / "claims.jsonl"
+        path.write_text(f"{canonical}\n\n{json.dumps(respelled)}\n", encoding="utf-8")
+        assert read_claim_ids(path) == [c.id for c in read_claims(path)]
+        assert read_claim_ids(path) == [claim("http://x/a", T0, 1, 2).id] * 2
+
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "claims.jsonl"
         path.write_bytes(claim_to_json(claim()).encode() + b"\n\xff\xfe\n")
         with pytest.raises(StoreError) as exc:
             read_claims(path)
         assert f"{path}:2:" in str(exc.value)
+
+
+# -- replaying canonical lines against the full parse -----------------------------
+
+timestamps = st.datetimes(
+    min_value=datetime(1900, 1, 1),
+    max_value=datetime(2100, 1, 1),
+    timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=-7, minutes=-30))]),
+)
+claims = st.builds(
+    Claim,
+    st.text(min_size=1, max_size=8),
+    st.text(max_size=8),
+    timestamps,
+    st.lists(any_triples, min_size=1, max_size=6).map(tuple),
+)
+
+
+def _full_parse(data: dict) -> Claim:
+    """The claim as the full parse builds it, whatever the spelling."""
+    ts = parse_timestamp(data["timestamp"])
+    return Claim(data["asserter"], data["source"], ts, tuple(parse_triples(data["assertion"])))
+
+
+def _fields(c: Claim) -> tuple:
+    return (c.id, c.assertion, c.timestamp, c.asserter, c.source)
+
+
+def _respell_line(triple: tuple, sep: str, escape: bool, typed: bool) -> str:
+    """One non-canonical spelling of a statement line."""
+    s, p, o = triple
+    if o.startswith('"'):
+        lexical, datatype = literal_parts(o)
+        if escape and lexical:
+            body = "".join(f"\\u{ord(c):04x}" if ord(c) <= 0xFFFF else f"\\U{ord(c):08x}" for c in lexical)
+            o = f'"{body}"' + ("" if datatype == XSD_STRING else f"^^<{datatype}>")
+        if typed and datatype == XSD_STRING:
+            o += f"^^<{XSD_STRING}>"
+    return sep.join((s, p, o)) + sep + "."
+
+
+@st.composite
+def respellings(draw):
+    """(claim, a claim-file line spelling the same claim in some other way)."""
+    c = draw(claims)
+    data = json.loads(claim_to_json(c))
+    triples = list(c.assertion)
+    if draw(st.booleans()):
+        triples = draw(st.permutations(triples))
+    if draw(st.booleans()):
+        triples.append(draw(st.sampled_from(triples)))
+    lines = [
+        _respell_line(t, draw(st.sampled_from([" ", "  \t"])), draw(st.booleans()), draw(st.booleans()))
+        for t in triples
+    ]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# a comment")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    data["assertion"] = "".join(line + end for line in lines)
+    stamp = draw(st.sampled_from(["canonical", "Z", "offset", "naive"]))
+    utc = c.timestamp.replace(tzinfo=None)
+    data["timestamp"] = {
+        "canonical": data["timestamp"],
+        "Z": utc.isoformat() + "Z",
+        "offset": c.timestamp.astimezone(timezone(timedelta(hours=5, minutes=45))).isoformat(),
+        "naive": utc.isoformat(),
+    }[stamp]
+    return c, json.dumps(data)
+
+
+class TestCanonicalReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(claims)
+    def test_canonical_line_agrees_with_the_full_parse(self, c):
+        line = claim_to_json(c)
+        data = json.loads(line)
+        assert split_canonical(data["assertion"]) is not None
+        with mock.patch.object(claims_module, "parse_triples", side_effect=AssertionError):
+            got = claim_from_json(line)
+        assert _fields(got) == _fields(_full_parse(data)) == _fields(c)
+        assert claim_to_json(got) == line
+
+    @settings(max_examples=300, deadline=None)
+    @given(respellings())
+    def test_other_spellings_take_the_full_parse(self, case):
+        c, line = case
+        data = json.loads(line)
+        canonical = json.loads(claim_to_json(c))
+        respelled = (data["assertion"], data["timestamp"]) != (canonical["assertion"], canonical["timestamp"])
+        with mock.patch.object(claims_module, "parse_triples", wraps=parse_triples) as parse:
+            got = claim_from_json(line)
+        assert parse.called == respelled
+        assert _fields(got) == _fields(_full_parse(data)) == _fields(c)
+
+    @pytest.mark.parametrize(
+        "assertion, reason",
+        [
+            ("<_:x> <http://x/p> <http://x/o> .\n", "line 1, column 1: IRI may not start with '_:'"),
+            ("_:b. <http://x/p> <http://x/o> .\n", "line 1, column 4: expected whitespace after subject"),
+            ("<http://x/s> <http://x/p> _:b. .\n", "line 1, column 32: unexpected content after '.'"),
+        ],
+    )
+    def test_spellings_the_check_refuses_keep_their_errors(self, tmp_path, assertion, reason):
+        obj = {**json.loads(claim_to_json(claim())), "assertion": assertion}
+        path = tmp_path / "claims.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        for read in (read_claims, read_claim_ids):
+            with pytest.raises(StoreError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}:1: bad assertion payload: {reason}"
+
+    def test_long_assertion_replays_through_the_check(self):
+        c = Claim("http://x/a", "s", T0, tuple(tr(n) for n in range(50_000)))
+        line = claim_to_json(c)
+        with mock.patch.object(claims_module, "parse_triples", side_effect=AssertionError):
+            got = claim_from_json(line)
+        assert got.id == c.id and got.assertion == c.assertion
 
 
 # -- fuzz: malformed claim lines fail as PolareError, never anything else ------
@@ -399,3 +547,19 @@ class TestReadClaimsFuzz:
                 read_claims(path)
             except PolareError:
                 pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(malformed_lines, min_size=1, max_size=3), st.booleans())
+    def test_claim_ids_fail_as_read_claims_fails(self, lines, valid_first):
+        encoded = [x if isinstance(x, bytes) else x.encode("utf-8", "surrogatepass") for x in lines]
+        data = b"\n".join(([VALID_LINE.encode()] if valid_first else []) + encoded) + b"\n"
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "claims.jsonl"
+            path.write_bytes(data)
+            outcomes = []
+            for read in (lambda p: [c.id for c in read_claims(p)], read_claim_ids):
+                try:
+                    outcomes.append(read(path))
+                except PolareError as e:
+                    outcomes.append(f"{type(e).__name__}: {e}")
+            assert outcomes[0] == outcomes[1]

@@ -203,6 +203,23 @@ class TestIngest:
         assert out == "ingested 1 new claim(s), skipped 2 duplicate(s)\n"
         assert len(read_claims(store_dir / "claims.jsonl")) == 1
 
+    def test_append_to_a_log_without_final_newline(self, capsys, tmp_path):
+        store_dir = tmp_path / "store"
+        shutil.copytree(CLEAN, store_dir)
+        log = store_dir / "claims.jsonl"
+        log.write_bytes(log.read_bytes().rstrip(b"\n"))
+        before = read_claims(log)
+        again = json.loads(log.read_text(encoding="utf-8").splitlines()[0])
+        again["timestamp"] = "2030-01-01T00:00:00+00:00"  # a new claim of known triples
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(json.dumps(again) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "ingest", "--claims", str(batch), "--store", str(store_dir))
+        assert code == 0 and "ingested 1 new claim(s)" in out
+        after = read_claims(log)
+        assert after[:-1] == before and len(after) == len(before) + 1
+        code, _, err = run(capsys, "export", "--store", str(store_dir), "--out", str(tmp_path / "o.nt"))
+        assert code == 0 and err == ""
+
 
 class TestInfer:
     def test_writes_jsonl(self, capsys, tmp_path):
@@ -364,6 +381,28 @@ class TestRewrite:
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             assert "line 1, column 1" in err and "IRI may not start with '_:'" in err
+        assert not (tmp_path / "o.nt").exists()
+
+    @pytest.mark.parametrize(
+        "namespace, reason",
+        [("_:", "IRI may not start with '_:'"), ("http://e.org/a b", "character ' ' not allowed inside IRI")],
+    )
+    def test_prefixed_name_expanding_to_a_bad_iri(self, capsys, tmp_path, namespace, reason):
+        # neither may become a blank node or a line polare cannot read back
+        src = tmp_path / "in.nt"
+        src.write_text(
+            "x:c <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://xmlns.com/foaf/0.1/Person> .\n"
+            'x:c <http://xmlns.com/foaf/0.1/name> "A" .\n',
+            encoding="utf-8",
+        )
+        prefixes = tmp_path / "prefixes.json"
+        prefixes.write_text(json.dumps({"x": namespace}), encoding="utf-8")
+        code, out, err = run(
+            capsys, "rewrite", "--from-singleton", "--in", str(src), "--prefixes", str(prefixes),
+            "--out", str(tmp_path / "o.nt"),
+        )
+        assert code == 2 and out == ""
+        assert "line 1, column 1" in err and reason in err
         assert not (tmp_path / "o.nt").exists()
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +12,17 @@ from polare.wire import (
     XSD_DATE,
     XSD_DECIMAL,
     XSD_STRING,
+    canonicalize,
     id_for_term,
     iri,
+    is_canonical,
     is_literal,
+    join_triples,
     literal,
     literal_parts,
     parse_triples,
     serialize_triples,
+    split_canonical,
     term_for_id,
 )
 
@@ -144,6 +150,25 @@ class TestParseErrors:
     def test_error_position_is_exact(self, line, column, reason):
         with pytest.raises(WireParseError) as exc:
             parse_triples("<http://ex/a> <http://ex/b> <http://ex/c> .\n" + line + "\n")
+        assert (exc.value.line, exc.value.column, exc.value.reason) == (2, column, reason)
+
+    @pytest.mark.parametrize(
+        "line, namespace, column, reason",
+        [
+            # a prefixed name expands to an IRI held to the IRIREF rule,
+            # and a fault is reported at the prefixed name
+            ("<http://ex/a> <http://ex/b> x:a .", "_:", 29, "IRI may not start with '_:'"),
+            ("x:c <http://ex/b> <http://ex/c> .", "http://e.org/a b", 1, "character ' ' not allowed inside IRI"),
+            ('<http://ex/a> <http://ex/b> "1"^^x:d .', "http://e/\t", 34, "character '\\t' not allowed inside IRI"),
+            ("<http://ex/a> x:b> <http://ex/c> .", "http://e/", 15, "character '>' not allowed inside IRI"),
+            ("<http://ex/a> x:<b <http://ex/c> .", "http://e/", 15, "character '<' not allowed inside IRI"),
+            ("<http://ex/a> <http://ex/b> x:c .", "http://e/\n", 29, "character '\\n' not allowed inside IRI"),
+            ("<http://ex/a> <http://ex/b> x: .", "", 29, "empty IRI"),
+        ],
+    )
+    def test_prefixed_name_expanding_to_a_bad_iri(self, line, namespace, column, reason):
+        with pytest.raises(WireParseError) as exc:
+            parse_triples("<http://ex/a> <http://ex/b> <http://ex/c> .\n" + line + "\n", {"x": namespace})
         assert (exc.value.line, exc.value.column, exc.value.reason) == (2, column, reason)
 
     def test_largest_scalar_values_accepted(self):
@@ -289,6 +314,120 @@ class TestScannerProperty:
     def test_any_spelling_parses_to_its_triple(self, case):
         tr, line = case
         assert parse_triples(line + "\n") == TripleSet([tr])
+
+
+# IRIs the scanner accepts that the generated ones above never hold
+odd_iris = st.sampled_from(['<"x">', "<a\rb>", "<a\\b>", "<_>", "<a_:b>", "<http://ex/^^>"])
+any_objects = st.one_of(nodes, odd_iris, literal_terms().map(lambda lt: lt[0]))
+any_triples = st.tuples(st.one_of(nodes, odd_iris), st.one_of(wire_iris, odd_iris), any_objects)
+
+
+@st.composite
+def texts_of_lines(draw):
+    """Wire text of 1-6 statements, each spelled canonically or not, in
+    sorted order or not, sometimes with a repeat, a comment or CRLF ends."""
+    cases = draw(st.lists(st.one_of(statement_lines(), any_triples.map(lambda t: (t, None))),
+                          min_size=1, max_size=6))
+    lines = [
+        join_triples([t])[:-1] if spelled is None or draw(st.booleans()) else spelled
+        for t, spelled in cases
+    ]
+    if draw(st.booleans()):
+        lines.sort()
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(st.sampled_from(lines)))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), "# note")
+    end = "\r\n" if draw(st.integers(0, 9)) == 0 else "\n"
+    return "".join(line + end for line in lines)
+
+
+class TestCanonicalCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(any_triples, min_size=1, max_size=8))
+    def test_canonical_text_splits_into_its_ordered_triples(self, items):
+        ordered, text = canonicalize(items)
+        assert split_canonical(text) == ordered
+        assert is_canonical(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(any_triples, min_size=1, max_size=8))
+    def test_line_order_is_tuple_order(self, items):
+        assert sorted(items, key=lambda t: join_triples([t])) == sorted(items)
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts_of_lines())
+    def test_check_accepts_exactly_what_canonicalize_writes(self, text):
+        ordered, canonical = canonicalize(parse_triples(text))
+        got = split_canonical(text)
+        assert (got is not None) == (canonical == text) == is_canonical(text)
+        if got is not None:
+            assert got == ordered
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            f"<{BNODE}> <http://ex/b> <http://ex/c> .\n",
+            '<http://ex/a> <http://ex/b> "x"^^<_:dt> .\n',
+            "_:b. <http://ex/b> <http://ex/c> .\n",
+            "<http://ex/a> <http://ex/b> _:b. .\n",
+            '<http://ex/a> <http://ex/b> "x\\u0041" .\n',
+            f'<http://ex/a> <http://ex/b> "x"^^<{XSD_STRING}> .\n',
+            "<http://ex/a> <http://ex/b> <http://ex/c> .",
+        ],
+        ids=["empty", "iri-like-blank", "datatype-like-blank", "blank-subject-dot",
+             "blank-object-dot", "u-escape", "explicit-string", "no-final-newline"],
+    )
+    def test_non_canonical_spellings_refused(self, text):
+        assert split_canonical(text) is None
+
+    def test_check_is_linear_in_the_line_count(self):
+        def best_time(n):
+            ordered, text = canonicalize(
+                (f"<http://ex/s{i:06d}>", "<http://ex/p>", literal(f"v{i}")) for i in range(n)
+            )
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                got = split_canonical(text)
+                times.append(time.perf_counter() - t0)
+            assert got == ordered
+            return min(times)
+
+        small, large = best_time(5_000), best_time(50_000)
+        assert large < 30 * small  # ten times the lines; a quadratic check takes 100 times
+
+
+# prefix maps whose namespaces hold what an IRI may not, with local names
+# holding what a prefixed name may
+namespaces = st.text(alphabet=' \t<>\n\r"_:/aé.', max_size=5)
+pname_locals = st.text(alphabet='ab_:.<>"é-', max_size=4)
+
+
+@st.composite
+def prefixed_documents(draw):
+    """(text, prefixes): statements whose IRIs are prefixed names or IRIREFs."""
+    prefixes = draw(st.dictionaries(st.sampled_from(["", "x", "y"]), namespaces, min_size=1))
+    names = st.builds(lambda p, local: f"{p}:{local}", st.sampled_from(sorted(prefixes)), pname_locals)
+    terms = st.one_of(names, wire_iris)
+    objects = st.one_of(terms, st.builds(lambda dt: f'"v"^^{dt}', terms))
+    lines = draw(st.lists(st.tuples(terms, terms, objects), min_size=1, max_size=4))
+    return "".join(f"{s} {p} {o} .\n" for s, p, o in lines), prefixes
+
+
+class TestPrefixedNameProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(prefixed_documents())
+    def test_what_parses_serializes_to_text_that_parses_back(self, case):
+        text, prefixes = case
+        try:
+            ts = parse_triples(text, prefixes)
+        except WireParseError:
+            return
+        out = serialize_triples(ts)
+        assert parse_triples(out) == ts
+        assert split_canonical(out) == sorted(ts)
 
 
 # -- term spellings -------------------------------------------------------------
