@@ -55,13 +55,10 @@ def parse_timestamp(text: str) -> datetime:
     return _canonical_timestamp(parsed)
 
 
-def _claim_id(text: str, asserter: str, timestamp: str) -> str:
-    """Content address over the canonical assertion text, the asserter and
-    the UTC timestamp's isoformat."""
-    digest = hashlib.sha256(text.encode("utf-8"))
-    digest.update(b"\x00" + asserter.encode("utf-8"))
-    digest.update(b"\x00" + timestamp.encode("utf-8"))
-    return "urn:claim:" + digest.hexdigest()
+def _claim_id(text: bytes, asserter: bytes, timestamp: bytes) -> str:
+    """Content address over the UTF-8 of the canonical assertion text, the
+    asserter and the UTC timestamp's isoformat."""
+    return "urn:claim:" + hashlib.sha256(b"\x00".join((text, asserter, timestamp))).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -70,28 +67,34 @@ class Claim:
 
     The id is content-addressed over (assertion, asserter, timestamp), so
     re-reading the same claim file yields the same ids.  A caller that
-    passes ``canonical_text`` vouches that ``assertion`` is already
-    distinct, non-empty and in canonical order and that the text is its
-    canonical text; the claim then neither sorts nor joins it.
+    passes ``claim_id`` vouches that ``assertion`` is already distinct,
+    non-empty and in canonical order, that ``timestamp`` is in UTC and that
+    the id is the content address of the three; the claim then neither
+    sorts, joins nor hashes them.
     """
 
     asserter: str
     source: str
     timestamp: datetime
     assertion: tuple
-    canonical_text: InitVar[Optional[str]] = None
+    claim_id: InitVar[Optional[str]] = None
     id: str = field(init=False, compare=False)
 
-    def __post_init__(self, canonical_text):
+    def __post_init__(self, claim_id):
         if not self.asserter:
             raise ClaimError("claim asserter must be non-empty")
-        if canonical_text is None:
-            ordered, canonical_text = canonicalize(self.assertion)
+        if claim_id is None:
+            ordered, text = canonicalize(self.assertion)
             if not ordered:
                 raise EmptyAssertionError("claim assertion must contain at least one triple")
             object.__setattr__(self, "assertion", tuple(ordered))
-        object.__setattr__(self, "timestamp", _canonical_timestamp(self.timestamp))
-        claim_id = _claim_id(canonical_text, self.asserter, self.timestamp.isoformat())
+            timestamp = _canonical_timestamp(self.timestamp)
+            object.__setattr__(self, "timestamp", timestamp)
+            claim_id = _claim_id(
+                text.encode("utf-8"),
+                self.asserter.encode("utf-8"),
+                timestamp.isoformat().encode("utf-8"),
+            )
         object.__setattr__(self, "id", claim_id)
 
 
@@ -193,54 +196,58 @@ def claim_to_json(claim: Claim) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _claim_fields(line: str, origin: str) -> dict:
-    """The JSON object of one claim-file line, with its four fields checked
-    to be strings that encode as UTF-8."""
+def _claim_fields(line: str, origin: str) -> tuple:
+    """The asserter, source, timestamp and assertion of one claim-file line,
+    each checked to be a string that encodes as UTF-8, and the encoding of
+    each."""
     try:
         data = json.loads(line)
     except (ValueError, RecursionError) as e:  # also the decoder's digit and depth limits
         raise StoreError(f"{origin}: invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise StoreError(f"{origin}: claim must be a JSON object")
+    values, encoded = [], []
     for key in ("asserter", "source", "timestamp", "assertion"):
         value = data.get(key)
         if not isinstance(value, str):
             raise StoreError(f"{origin}: claim field {key!r} missing or not a string")
         try:
-            value.encode("utf-8")
+            encoded.append(value.encode("utf-8"))
         except UnicodeEncodeError as e:  # a lone surrogate escape such as "\ud800"
             raise StoreError(f"{origin}: claim field {key!r} is not valid Unicode: {e}") from None
-    return data
+        values.append(value)
+    return values, encoded
 
 
-def _logged_timestamp(data: dict, origin: str) -> Optional[datetime]:
-    """The claim's timestamp when it is spelled as :func:`claim_to_json`
+def _logged_timestamp(stamp: str, origin: str) -> Optional[datetime]:
+    """The timestamp ``stamp`` when it is spelled as :func:`claim_to_json`
     writes it, so that the id hashes the stored text; None otherwise."""
     try:
-        timestamp = parse_timestamp(data["timestamp"])
+        timestamp = parse_timestamp(stamp)
     except ClaimError as e:
         raise StoreError(f"{origin}: {e}") from e
-    return timestamp if timestamp.isoformat() == data["timestamp"] else None
+    return timestamp if timestamp.isoformat() == stamp else None
 
 
 def claim_from_json(line: str, origin: str = "claims") -> Claim:
     """One claim-file line -> Claim; every failure is a :class:`StoreError`
     naming ``origin``.  A line spelled as :func:`claim_to_json` writes it
     is hashed as it stands; any other goes through the full parse."""
-    data = _claim_fields(line, origin)
-    text = data["assertion"]
+    (asserter, source, stamp, text), encoded = _claim_fields(line, origin)
     triples = split_canonical(text)
-    timestamp = None if triples is None else _logged_timestamp(data, origin)
+    timestamp = None if triples is None else _logged_timestamp(stamp, origin)
+    claim_id = None
     if timestamp is None:  # not spelled as claim_to_json writes it: the full parse
         try:
             triples = parse_triples(text, {})
         except WireParseError as e:
             raise StoreError(f"{origin}: bad assertion payload: {e}") from e
-        text = None
+    else:
+        claim_id = _claim_id(encoded[3], encoded[0], encoded[2])
     try:
         if timestamp is None:
-            timestamp = parse_timestamp(data["timestamp"])
-        return Claim(data["asserter"], data["source"], timestamp, tuple(triples), text)
+            timestamp = parse_timestamp(stamp)
+        return Claim(asserter, source, timestamp, tuple(triples), claim_id)
     except ClaimError as e:
         raise StoreError(f"{origin}: {e}") from e
 
@@ -248,10 +255,9 @@ def claim_from_json(line: str, origin: str = "claims") -> Claim:
 def _claim_id_from_json(line: str, origin: str) -> str:
     """The id :func:`claim_from_json` gives ``line``, with the same checks;
     a canonical assertion is checked but not split into triples."""
-    data = _claim_fields(line, origin)
-    text, asserter = data["assertion"], data["asserter"]
-    if asserter and is_canonical(text) and _logged_timestamp(data, origin) is not None:
-        return _claim_id(text, asserter, data["timestamp"])
+    (asserter, _, stamp, text), encoded = _claim_fields(line, origin)
+    if asserter and is_canonical(text) and _logged_timestamp(stamp, origin) is not None:
+        return _claim_id(encoded[3], encoded[0], encoded[2])
     return claim_from_json(line, origin).id
 
 

@@ -73,7 +73,8 @@ def _cmd_validate(args) -> int:
 def _cmd_infer(args) -> int:
     graph = Store(args.store).require().graph()
     rg = materialize(graph, require_overlap=not args.no_overlap_required)
-    Path(args.out).write_text(edges_to_jsonl(rg), encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as out:
+        out.writelines(edges_to_jsonl(rg))
     return 0
 
 
@@ -92,7 +93,7 @@ def _cmd_query_path(args) -> int:
         at_date=_parse_date(args.at_date),
     )
     paths = find_paths(rg, query, agents=_graph_agents(graph))
-    sys.stdout.write(paths_to_jsonl(paths))
+    sys.stdout.writelines(paths_to_jsonl(paths))
     if args.expect_nonempty and not paths:
         return 1
     return 0
@@ -109,7 +110,7 @@ def _cmd_query_neighborhood(args) -> int:
         at_date=_parse_date(args.at_date),
         agents=_graph_agents(graph),
     )
-    sys.stdout.write(edges_to_jsonl(sub))
+    sys.stdout.writelines(edges_to_jsonl(sub))
     if args.expect_nonempty and len(sub) == 0:
         return 1
     return 0

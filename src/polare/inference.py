@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Optional
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Iterator, Optional
 
 from .errors import AmbiguousAffiliationError, InvariantError, UnknownAgentError
 from .model import (
@@ -59,41 +60,45 @@ def check_edge_kinds(kinds) -> Optional[frozenset]:
     return kinds
 
 
-@dataclass(frozen=True)
-class RelationEdge:
+class RelationEdge(
+    namedtuple("RelationEdge", "a b kind detail evidence interval directed")
+):
     """One derived relation between two agents.
 
     Undirected edges are canonicalized to (min-id, max-id) so each relation
-    is stored and compared exactly once.
+    is stored and compared exactly once.  The fields are in key order, so
+    ``key`` is the first five of them.
+
+    Calling the class checks every field.  The generators below build their
+    edges with ``RelationEdge._make``, which checks nothing: each passes
+    endpoint ids of checked entities that differ, a constant kind, sorted
+    non-empty evidence and undirected endpoints already in canonical order.
     """
 
-    a: str
-    b: str
-    kind: str
-    detail: str
-    evidence: tuple
-    interval: Optional[TimeInterval] = None
-    directed: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_entity_id(self.a, "RelationEdge.a")
-        check_entity_id(self.b, "RelationEdge.b")
-        if self.a == self.b:
+    def __new__(cls, a, b, kind, detail, evidence, interval=None, directed=False):
+        check_entity_id(a, "RelationEdge.a")
+        check_entity_id(b, "RelationEdge.b")
+        if a == b:
             raise InvariantError("relation edge endpoints must differ")
-        if self.kind not in ALL_KINDS:
-            raise InvariantError(f"unknown edge kind {self.kind!r}")
-        evidence = tuple(sorted(self.evidence))
+        if kind not in ALL_KINDS:
+            raise InvariantError(f"unknown edge kind {kind!r}")
+        evidence = tuple(sorted(evidence))
         if not evidence:
             raise InvariantError("relation edge needs at least one evidence entity")
-        object.__setattr__(self, "evidence", evidence)
-        if not self.directed and self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        directed = bool(directed)
+        if not directed and a > b:
+            a, b = b, a
+        return tuple.__new__(cls, (a, b, kind, detail, evidence, interval, directed))
+
+    def _replace(self, **changes) -> "RelationEdge":
+        """A copy with ``changes``, checked as a new edge is."""
+        return RelationEdge(**{**self._asdict(), **changes})
 
     @property
     def key(self) -> tuple:
-        return (self.a, self.b, self.kind, self.detail, self.evidence)
+        return self[:5]
 
     def in_effect(self, d: Optional[date]) -> bool:
         if d is None or self.interval is None:
@@ -109,27 +114,31 @@ class RelationEdge:
 
 
 class RelationGraph:
-    """Deduplicated set of relation edges with an adjacency index."""
+    """Deduplicated set of relation edges with an adjacency index.
+
+    Keys are unique within a graph, so edges sort by their key when sorted
+    as tuples."""
 
     def __init__(self, edges: Iterable = ()):
         self._edges: dict = {}  # key -> RelationEdge
-        self._adjacency: dict = {}  # agent -> [edge]
+        self._adjacency: dict = defaultdict(list)  # agent -> [edge]
         for e in edges:
             self.add(e)
 
     def add(self, edge: RelationEdge) -> bool:
-        if edge.key in self._edges:
+        key = edge[:5]
+        if key in self._edges:
             return False
-        self._edges[edge.key] = edge
-        self._adjacency.setdefault(edge.a, []).append(edge)
-        self._adjacency.setdefault(edge.b, []).append(edge)
+        self._edges[key] = edge
+        self._adjacency[edge.a].append(edge)
+        self._adjacency[edge.b].append(edge)
         return True
 
     def edges(self) -> list:
-        return sorted(self._edges.values(), key=lambda e: e.key)
+        return sorted(self._edges.values())
 
     def edges_touching(self, agent: str) -> list:
-        return sorted(self._adjacency.get(agent, []), key=lambda e: e.key)
+        return sorted(self._adjacency.get(agent, ()))
 
     def agents(self) -> list:
         return sorted(self._adjacency)
@@ -225,6 +234,8 @@ def check_voter_consistency(
 
 # -- edge generators ---------------------------------------------------------
 
+_edge = RelationEdge._make  # unchecked: see RelationEdge
+
 
 def family_edges(graph: EntityGraph) -> list:
     """One edge per direct relation; directed unless the concept says the
@@ -232,18 +243,11 @@ def family_edges(graph: EntityGraph) -> list:
     out = []
     for rel in graph.of_type(DirectRel):
         concept = graph.find_concept(rel.relation)
-        symmetric = concept.symmetric if concept is not None else False
-        out.append(
-            RelationEdge(
-                rel.subject,
-                rel.object,
-                FAMILY,
-                rel.relation,
-                (rel.id,),
-                rel.interval,
-                directed=not symmetric,
-            )
-        )
+        directed = concept is None or not concept.symmetric
+        a, b = rel.subject, rel.object  # a DirectRel never relates a person to itself
+        if not directed and a > b:
+            a, b = b, a
+        out.append(_edge((a, b, FAMILY, rel.relation, (rel.id,), rel.interval, directed)))
     return out
 
 
@@ -261,37 +265,33 @@ def co_membership_edges(graph: EntityGraph, require_overlap: bool = True) -> lis
     for org, ms in sorted(by_org.items()):
         pairs = overlapping_pairs(ms) if require_overlap else itertools.combinations(ms, 2)
         for m1, m2 in pairs:
-            if m1.person == m2.person:
+            a, b = m1.person, m2.person
+            if a == b:
                 continue
+            if a > b:
+                a, b = b, a
+            evidence = (m1.id, m2.id) if m1.id < m2.id else (m2.id, m1.id)
             interval = m1.interval.intersection(m2.interval) if require_overlap else None
-            out.append(
-                RelationEdge(m1.person, m2.person, CO_MEMBERSHIP, org, (m1.id, m2.id), interval)
-            )
+            out.append(_edge((a, b, CO_MEMBERSHIP, org, evidence, interval, False)))
     return out
 
 
 def referral_edges(graph: EntityGraph) -> list:
     """Who placed whom: a directed edge per referral, detailed by post."""
     out = []
-    for r in graph.of_type(Referral):
+    for r in graph.of_type(Referral):  # a Referral never refers its referrer
         interval = TimeInterval(r.date, r.date) if r.date is not None else None
-        out.append(
-            RelationEdge(
-                r.referrer, r.referred, REFERRAL, r.post, (r.id,), interval, directed=True
-            )
-        )
+        out.append(_edge((r.referrer, r.referred, REFERRAL, r.post, (r.id,), interval, True)))
     return out
 
 
 def _pair_edges(entity_id: str, participants, kind: str, interval) -> list:
     agents = sorted({p.agent for p in participants})
-    out = []
-    for i in range(len(agents)):
-        for j in range(i + 1, len(agents)):
-            out.append(
-                RelationEdge(agents[i], agents[j], kind, entity_id, (entity_id,), interval)
-            )
-    return out
+    evidence = (entity_id,)
+    return [
+        _edge((a, b, kind, entity_id, evidence, interval, False))
+        for a, b in itertools.combinations(agents, 2)
+    ]
 
 
 def co_transaction_edges(graph: EntityGraph) -> list:
@@ -322,16 +322,8 @@ def candidacy_post_edges(graph: EntityGraph) -> list:
             continue
         if c.person == post.organization:
             continue
-        out.append(
-            RelationEdge(
-                c.person,
-                post.organization,
-                CANDIDACY_POST,
-                c.post,
-                (c.id,),
-                directed=True,
-            )
-        )
+        fields = (c.person, post.organization, CANDIDACY_POST, c.post, (c.id,), None, True)
+        out.append(_edge(fields))
     return out
 
 
@@ -356,27 +348,27 @@ def materialize(graph: EntityGraph, require_overlap: bool = True) -> RelationGra
 # -- exports -----------------------------------------------------------------
 
 
-def edge_to_dict(edge: RelationEdge) -> dict:
-    interval = None
-    if edge.interval is not None:
-        interval = {
-            "start": edge.interval.start.isoformat() if edge.interval.start else None,
-            "end": edge.interval.end.isoformat() if edge.interval.end else None,
-        }
-    return {
-        "a": edge.a,
-        "b": edge.b,
-        "kind": edge.kind,
-        "detail": edge.detail,
-        "directed": edge.directed,
-        "interval": interval,
-        "evidence": list(edge.evidence),
-    }
+@functools.lru_cache(maxsize=4096)  # edges share few distinct days
+def _json_date(d: Optional[date]) -> str:
+    return "null" if d is None else '"' + d.isoformat() + '"'
 
 
-def edges_to_jsonl(rg: RelationGraph) -> str:
-    """One JSON object per edge, deterministic order."""
-    return "".join(
-        json.dumps(edge_to_dict(e), sort_keys=True, separators=(",", ":")) + "\n"
-        for e in rg.edges()
+def _edge_line(edge: RelationEdge) -> str:
+    """The edge as one JSON line: the object ``json.dumps`` writes with
+    sorted keys and compact separators, formatted directly."""
+    a, b, kind, detail, evidence, interval, directed = edge
+    if interval is None:
+        span = "null"
+    else:
+        span = f'{{"end":{_json_date(interval.end)},"start":{_json_date(interval.start)}}}'
+    return (
+        f'{{"a":{_json_str(a)},"b":{_json_str(b)},"detail":{_json_str(detail)},'
+        f'"directed":{"true" if directed else "false"},'
+        f'"evidence":[{",".join(map(_json_str, evidence))}],"interval":{span},'
+        f'"kind":{_json_str(kind)}}}\n'
     )
+
+
+def edges_to_jsonl(rg: RelationGraph) -> Iterator[str]:
+    """One JSON line per edge, in key order."""
+    return map(_edge_line, rg.edges())

@@ -106,9 +106,16 @@ class TimeInterval:
     def intersection(self, other: "TimeInterval") -> Optional["TimeInterval"]:
         if not self.overlaps(other):
             return None
-        starts = [s for s in (self.start, other.start) if s is not None]
-        ends = [e for e in (self.end, other.end) if e is not None]
-        return TimeInterval(max(starts) if starts else None, min(ends) if ends else None)
+        start, end = self.start, self.end
+        if other.start is not None and (start is None or other.start > start):
+            start = other.start
+        if other.end is not None and (end is None or other.end < end):
+            end = other.end
+        # bounds of two checked intervals that overlap: nothing to re-check
+        out = object.__new__(TimeInterval)
+        object.__setattr__(out, "start", start)
+        object.__setattr__(out, "end", end)
+        return out
 
     def contains(self, other: "TimeInterval") -> bool:
         """True when every day covered by ``other`` is covered by ``self``."""
@@ -340,7 +347,10 @@ class Referral:
     post: str = wire(vocab.POL_POST_PROP, "ref", "Post")
     date: Optional[date] = wire(vocab.DC_DATE, "date", default=None)
 
-    __post_init__ = _check_fields
+    def __post_init__(self):
+        _check_fields(self)
+        if self.referrer == self.referred:
+            raise InvariantError(f"Referral {self.id}: {self.referrer} refers itself")
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ their direction with the direction reported on the step.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 from datetime import date
-from typing import NamedTuple, Optional
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import UnknownAgentError
 from .inference import FAMILY, RelationEdge, RelationGraph, check_edge_kinds
@@ -67,10 +68,14 @@ class Path:
         return out
 
 
+#: a PathStep from an (edge, forward) pair, without a Python-level call
+_path_step = functools.partial(tuple.__new__, PathStep)
+
+
 class _Hops(dict):
-    """agent -> its walkable hops as (PathStep, next agent) pairs in edge-key
-    order, under one query's kind and date filters; each agent's list is
-    built on its first lookup."""
+    """agent -> its walkable hops as ((edge, forward), next agent) pairs in
+    edge-key order, under one query's kind and date filters; each agent's
+    list is built on its first lookup."""
 
     def __init__(self, rg: RelationGraph, kinds, at_date):
         super().__init__()
@@ -83,11 +88,11 @@ class _Hops(dict):
             if (kinds is not None and edge.kind not in kinds) or not edge.in_effect(at_date):
                 continue
             if here == edge.a:
-                hops.append((PathStep(edge), edge.b))
+                hops.append(((edge, True), edge.b))
             elif not edge.directed:
-                hops.append((PathStep(edge), edge.a))
+                hops.append(((edge, True), edge.a))
             elif edge.kind == FAMILY:
-                hops.append((PathStep(edge, False), edge.a))
+                hops.append(((edge, False), edge.a))
         return hops
 
 
@@ -107,21 +112,21 @@ def find_paths(rg: RelationGraph, q: PathQuery, agents=None) -> list:
     _check_known(rg, agents, q.source, q.target)
     hops = _Hops(rg, q.kinds, q.at_date)
     results = []
-    steps: list = []
+    walked: list = []  # the (edge, forward) pairs from the source to here
     visited = {q.source}
 
     def walk(here: str) -> None:
-        for step, nxt in hops[here]:
+        for move, nxt in hops[here]:
             if nxt in visited:
                 continue
-            steps.append(step)
+            walked.append(move)
             if nxt == q.target:
-                results.append(Path(q.source, q.target, tuple(steps)))
-            elif len(steps) < q.max_depth:
+                results.append(Path(q.source, q.target, tuple(map(_path_step, walked))))
+            elif len(walked) < q.max_depth:
                 visited.add(nxt)
                 walk(nxt)
                 visited.discard(nxt)
-            steps.pop()
+            walked.pop()
 
     walk(q.source)
     # the walk emits paths in edge-key order, so a stable sort by length
@@ -152,8 +157,8 @@ def neighborhood(
     for _ in range(depth):
         nxt = []
         for here in frontier:
-            for step, there in hops[here]:
-                out.add(step.edge)
+            for (edge, _), there in hops[here]:
+                out.add(edge)
                 if there not in seen:
                     seen.add(there)
                     nxt.append(there)
@@ -161,23 +166,22 @@ def neighborhood(
     return out
 
 
-def path_to_dict(path: Path) -> dict:
+def _path_line(path: Path) -> str:
+    """The path as one JSON line: the object ``json.dumps`` writes with
+    sorted keys and compact separators, formatted directly."""
     agents = path.agents()
-    steps = []
-    for i, step in enumerate(path.steps):
-        steps.append(
-            {
-                "from": agents[i],
-                "to": agents[i + 1],
-                "kind": step.edge.kind,
-                "detail": step.edge.detail,
-                "forward": step.forward,
-            }
-        )
-    return {"source": path.source, "target": path.target, "length": path.length, "steps": steps}
-
-
-def paths_to_jsonl(paths) -> str:
-    return "".join(
-        json.dumps(path_to_dict(p), sort_keys=True, separators=(",", ":")) + "\n" for p in paths
+    steps = ",".join(
+        f'{{"detail":{_json_str(edge.detail)},"forward":{"true" if forward else "false"},'
+        f'"from":{_json_str(agents[i])},"kind":{_json_str(edge.kind)},'
+        f'"to":{_json_str(agents[i + 1])}}}'
+        for i, (edge, forward) in enumerate(path.steps)
     )
+    return (
+        f'{{"length":{path.length},"source":{_json_str(path.source)},"steps":[{steps}],'
+        f'"target":{_json_str(path.target)}}}\n'
+    )
+
+
+def paths_to_jsonl(paths) -> Iterator[str]:
+    """One JSON line per path, in the given order."""
+    return map(_path_line, paths)

@@ -9,6 +9,7 @@ entry explaining why the oracle was wrong.
 
 from __future__ import annotations
 
+import json
 from datetime import date, timedelta
 
 # Clamp for unbounded interval sides so day scans stay finite.
@@ -230,3 +231,48 @@ def first_writer_owner(claims: list) -> dict:
         for t in assertion:
             owner.setdefault(t, i)
     return owner
+
+
+def json_line(obj: dict) -> str:
+    """One JSON line as the CLI writes them: sorted keys, compact."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def edge_to_dict(edge) -> dict:
+    """The JSON object of one relation edge, read off its attributes."""
+    interval = None
+    if edge.interval is not None:
+        interval = {
+            "start": edge.interval.start.isoformat() if edge.interval.start else None,
+            "end": edge.interval.end.isoformat() if edge.interval.end else None,
+        }
+    return {
+        "a": edge.a,
+        "b": edge.b,
+        "kind": edge.kind,
+        "detail": edge.detail,
+        "directed": edge.directed,
+        "interval": interval,
+        "evidence": list(edge.evidence),
+    }
+
+
+def path_to_dict(path) -> dict:
+    """The JSON object of one path; each step walks from the agent the
+    previous step reached to the edge's other endpoint."""
+    steps = []
+    here = path.source
+    for step in path.steps:
+        there = step.edge.b if here == step.edge.a else step.edge.a
+        steps.append(
+            {
+                "from": here,
+                "to": there,
+                "kind": step.edge.kind,
+                "detail": step.edge.detail,
+                "forward": step.forward,
+            }
+        )
+        here = there
+    return {"source": path.source, "target": path.target, "length": len(path.steps),
+            "steps": steps}

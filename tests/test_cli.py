@@ -89,18 +89,23 @@ BAD_JSON = {
 FX = "http://polare.org/fx/"
 
 
-def store_with_literal(tmp_path, old: str, new: str) -> Path:
-    """A copy of the clean store whose log spells the literal ``old`` as ``new``."""
+def store_with(tmp_path, old: str, new: str) -> Path:
+    """A copy of the clean store whose log asserts ``new`` in place of ``old``."""
     store_dir = tmp_path / "store"
     shutil.copytree(CLEAN, store_dir)
     log = store_dir / "claims.jsonl"
     lines = []
     for line in log.read_text(encoding="utf-8").splitlines():
         claim = json.loads(line)
-        claim["assertion"] = claim["assertion"].replace(f'"{old}"^^', f'"{new}"^^')
+        claim["assertion"] = claim["assertion"].replace(old, new)
         lines.append(json.dumps(claim, sort_keys=True, separators=(",", ":")) + "\n")
     log.write_text("".join(lines), encoding="utf-8")
     return store_dir
+
+
+def store_with_literal(tmp_path, old: str, new: str) -> Path:
+    """A copy of the clean store whose log spells the literal ``old`` as ``new``."""
+    return store_with(tmp_path, f'"{old}"^^', f'"{new}"^^')
 
 
 class TestLiteralValues:
@@ -117,6 +122,27 @@ class TestLiteralValues:
         code, out, err = run(capsys, "validate", "--store", str(store_dir))
         assert code == 2 and out == ""
         assert err == f"error: {FX}election/2016: date: bad date literal {lexical!r}\n"
+
+
+class TestSelfReferral:
+    """A referral whose referrer is the person it refers is refused when the
+    store is read, by every command that reads it."""
+
+    REFERRED = f"<{FX}ref/john-ana> <http://polare.org/ns#referred> "
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["infer", "--out", "edges.jsonl"],
+         ["query", "neighborhood", "--agent", JOHN, "--depth", "1"]],
+        ids=["validate", "infer", "neighborhood"],
+    )
+    def test_refused(self, capsys, tmp_path, argv):
+        store_dir = store_with(tmp_path, self.REFERRED + f"<{FX}person/ana>",
+                               self.REFERRED + f"<{JOHN}>")
+        argv = [str(tmp_path / a) if a == "edges.jsonl" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--store", str(store_dir))
+        assert code == 2 and out == ""
+        assert err == f"error: Referral {FX}ref/john-ana: {JOHN} refers itself\n"
 
 
 class TestUnreadableJsonFiles:

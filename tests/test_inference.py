@@ -3,6 +3,8 @@ from datetime import date
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polare.errors import AmbiguousAffiliationError, InvariantError
 from polare.inference import (
@@ -22,7 +24,6 @@ from polare.inference import (
     co_case_edges,
     co_membership_edges,
     co_transaction_edges,
-    edge_to_dict,
     edges_to_jsonl,
     family_edges,
     materialize,
@@ -67,7 +68,14 @@ from .genfixtures import (
     random_occupancy_fixture,
     random_party_memberships,
 )
-from .oracles import SCAN_MAX, SCAN_MIN, affiliation_by_scan, co_membership_by_day_scan, pair_count
+from .oracles import (
+    SCAN_MAX,
+    SCAN_MIN,
+    affiliation_by_scan,
+    co_membership_by_day_scan,
+    edge_to_dict,
+    pair_count,
+)
 
 ROLE = concept_ids(ROLE_SCHEME)[0]
 COMPANY = next(c for c in concept_ids(CLASS_SCHEME) if c.endswith("company"))
@@ -603,6 +611,19 @@ class TestMaterialize:
 
         assert normalize(got) == normalize(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_generated_edges_are_what_the_checked_constructor_builds(self, seed, overlap):
+        g = random_entity_graph(random.Random(seed), max_entities=80)
+        generators = (family_edges, referral_edges, co_transaction_edges, co_case_edges,
+                      candidacy_post_edges, lambda g: co_membership_edges(g, overlap))
+        for generate in generators:
+            for e in generate(g):
+                checked = RelationEdge(e.a, e.b, e.kind, e.detail, e.evidence, e.interval,
+                                       e.directed)
+                assert type(e) is RelationEdge and tuple(e) == tuple(checked)
+                assert type(e.directed) is bool
+
     def test_monotone_under_entity_addition(self):
         rng = random.Random(31)
         g = random_entity_graph(rng, max_entities=50)
@@ -635,6 +656,6 @@ class TestExports:
             fwd.add(e)
         for e in reversed(self.sample_edges()):
             rev.add(e)
-        text = edges_to_jsonl(fwd)
-        assert text == edges_to_jsonl(rev)
+        text = "".join(edges_to_jsonl(fwd))
+        assert text == "".join(edges_to_jsonl(rev))
         assert text.endswith("\n") and len(text.strip().splitlines()) == 2

@@ -31,6 +31,7 @@ from polare.model import (
     Participation,
     Person,
     Post,
+    Referral,
     TimeInterval,
     Transaction,
     iter_references,
@@ -117,6 +118,22 @@ def window_intervals(draw):
     )
 
 
+class TestIntersection:
+    @settings(max_examples=300, deadline=None)
+    @given(window_intervals(), window_intervals())
+    def test_covers_exactly_the_shared_days(self, a, b):
+        got = a.intersection(b)
+        days = [date(2019, 12, 1) + timedelta(days=i) for i in range(60)]
+        shared = [d for d in days if a.in_effect(d) and b.in_effect(d)]
+        if got is None:
+            assert shared == []
+            return
+        assert [d for d in days if got.in_effect(d)] == shared
+        assert (got.start is None) == (a.start is None and b.start is None)
+        assert (got.end is None) == (a.end is None and b.end is None)
+        assert got == TimeInterval(got.start, got.end)  # bounds the checked constructor takes
+
+
 class TestOverlappingPairs:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(window_intervals(), max_size=14))
@@ -168,6 +185,10 @@ class TestEntityInvariants:
     def test_direct_relation_to_self_rejected(self):
         with pytest.raises(InvariantError):
             DirectRel("x:r", "x:a", "x:a", "x:c")
+
+    def test_self_referral_rejected(self):
+        with pytest.raises(InvariantError, match=r"^Referral x:f: x:a refers itself$"):
+            Referral("x:f", "x:a", "x:a", "x:p")
 
     def test_group_may_be_empty(self):
         # membership lists shrink over time; an empty roster is legal data

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -22,12 +21,11 @@ from polare.queries import (
     PathStep,
     find_paths,
     neighborhood,
-    path_to_dict,
     paths_to_jsonl,
 )
 
 from .genfixtures import random_relation_graph
-from .oracles import all_simple_paths, covers_day, reachable_edges_bfs
+from .oracles import all_simple_paths, covers_day, path_to_dict, reachable_edges_bfs
 
 
 def edge(a, b, kind=CO_MEMBERSHIP, detail="x:o", directed=False, interval=None):
@@ -195,7 +193,7 @@ class TestFilteredOracle:
         rng = random.Random(seed)
         for _ in range(40):
             rg, _ = random_relation_graph(rng, max_agents=12, max_edges=40)
-            rg = graph_of(*(replace(e, interval=random_interval(rng)) for e in rg.edges()))
+            rg = graph_of(*(e._replace(interval=random_interval(rng)) for e in rg.edges()))
             kinds = frozenset(k for k in sorted(ALL_KINDS) if rng.random() < 0.6)
             at = random_day(rng)
             kept = [
@@ -310,8 +308,9 @@ class TestSerialization:
     def test_jsonl_deterministic(self):
         rg = graph_of(edge("x:a", "x:b"), edge("x:b", "x:c"), edge("x:a", "x:c"))
         ps = find_paths(rg, PathQuery("x:a", "x:c"))
-        assert paths_to_jsonl(ps) == paths_to_jsonl(list(ps))
-        assert paths_to_jsonl(ps).count("\n") == len(ps)
+        text = "".join(paths_to_jsonl(ps))
+        assert text == "".join(paths_to_jsonl(list(ps)))
+        assert text.count("\n") == len(ps)
 
     def test_backward_step_marked(self):
         rg = graph_of(edge("x:p", "x:kid", kind=FAMILY, directed=True))
