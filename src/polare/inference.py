@@ -84,12 +84,17 @@ class RelationEdge(
             raise InvariantError("relation edge endpoints must differ")
         if kind not in ALL_KINDS:
             raise InvariantError(f"unknown edge kind {kind!r}")
-        evidence = tuple(sorted(evidence))
+        evidence = tuple(evidence)
         if not evidence:
             raise InvariantError("relation edge needs at least one evidence entity")
+        if not isinstance(detail, str) or not all(isinstance(e, str) for e in evidence):
+            raise InvariantError("relation edge detail and evidence must be strings")
+        if interval is not None and not isinstance(interval, TimeInterval):
+            raise InvariantError(f"relation edge interval: not a TimeInterval: {interval!r}")
         directed = bool(directed)
         if not directed and a > b:
             a, b = b, a
+        evidence = tuple(sorted(evidence))
         return tuple.__new__(cls, (a, b, kind, detail, evidence, interval, directed))
 
     def _replace(self, **changes) -> "RelationEdge":

@@ -130,6 +130,15 @@ class TestRelationEdge:
         with pytest.raises(InvariantError):
             self.edge(kind="friendship")
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"detail": None}, {"evidence": ("x:e", 7)}, {"interval": (None, None)}],
+        ids=["detail", "evidence", "interval"],
+    )
+    def test_fields_the_json_line_reads_are_typed(self, changes):
+        with pytest.raises(InvariantError):
+            self.edge(**changes)
+
     def test_undirected_stored_canonically(self):
         e1 = self.edge(a="x:b", b="x:a", directed=False)
         e2 = self.edge(a="x:a", b="x:b", directed=False)
