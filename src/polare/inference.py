@@ -353,7 +353,8 @@ def materialize(graph: EntityGraph, require_overlap: bool = True) -> RelationGra
 # -- exports -----------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)  # edges share few distinct days
+# dates repeat: the census workload writes 24k interval bounds on 1.4k days
+@functools.lru_cache(maxsize=4096)
 def _json_date(d: Optional[date]) -> str:
     return "null" if d is None else '"' + d.isoformat() + '"'
 

@@ -111,7 +111,9 @@ class TimeInterval:
             start = other.start
         if other.end is not None and (end is None or other.end < end):
             end = other.end
-        # bounds of two checked intervals that overlap: nothing to re-check
+        # skips __post_init__: these are bounds of two checked intervals that
+        # overlap, so start <= end (TestIntersection); a check added there
+        # must hold here too
         out = object.__new__(TimeInterval)
         object.__setattr__(out, "start", start)
         object.__setattr__(out, "end", end)

@@ -9,7 +9,6 @@ their direction with the direction reported on the step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring_ascii as _json_str
@@ -68,10 +67,6 @@ class Path:
         return out
 
 
-#: a PathStep from an (edge, forward) pair, without a Python-level call
-_path_step = functools.partial(tuple.__new__, PathStep)
-
-
 class _Hops(dict):
     """agent -> its walkable hops as ((edge, forward), next agent) pairs in
     edge-key order, under one query's kind and date filters; each agent's
@@ -121,7 +116,7 @@ def find_paths(rg: RelationGraph, q: PathQuery, agents=None) -> list:
                 continue
             walked.append(move)
             if nxt == q.target:
-                results.append(Path(q.source, q.target, tuple(map(_path_step, walked))))
+                results.append(Path(q.source, q.target, tuple(map(PathStep._make, walked))))
             elif len(walked) < q.max_depth:
                 visited.add(nxt)
                 walk(nxt)
