@@ -26,12 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import InitVar, dataclass, field
+import re
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ClaimError, EmptyAssertionError, StoreError, WireParseError
+from .record import Record
 from .wire import TripleSet, canonicalize, is_canonical, join_triples, parse_triples, split_canonical
 
 Pathish = Union[str, Path]
@@ -46,11 +48,32 @@ def _canonical_timestamp(value: datetime) -> datetime:
         raise ClaimError(f"timestamp {value.isoformat()} has no UTC equivalent in range") from None
 
 
+#: RFC 3339 section 5.6 ``date-time``, whose "T" and "Z" may be lower case,
+#: and polare's one extension: a date-time without offset, read as UTC.
+#: ``datetime.fromisoformat`` alone accepts more, and more on newer Pythons.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?"
+    r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?"
+)
+
+
 def parse_timestamp(text: str) -> datetime:
-    """RFC-3339 date-time, normalized to UTC."""
+    """An RFC 3339 date-time (or one without offset, read as UTC),
+    normalized to UTC.  A fraction keeps its first six digits."""
+    match = _TIMESTAMP.fullmatch(text)
+    if match is None:
+        raise ClaimError(f"bad timestamp {text!r}: not an RFC 3339 date-time")
+    fraction, offset = match.groups()
+    # the spelling every supported fromisoformat reads alike: the date and
+    # time to the second, six fraction digits, a numeric offset or none
+    iso = text[:19]
+    if fraction is not None:
+        iso += fraction[:7].ljust(7, "0")
+    if offset not in (None, "Z", "z"):
+        iso += offset
     try:
-        parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as e:
+        parsed = datetime.fromisoformat(iso)
+    except ValueError as e:  # a field out of range
         raise ClaimError(f"bad timestamp {text!r}: {e}") from None
     return _canonical_timestamp(parsed)
 
@@ -61,8 +84,7 @@ def _claim_id(text: bytes, asserter: bytes, timestamp: bytes) -> str:
     return "urn:claim:" + hashlib.sha256(b"\x00".join((text, asserter, timestamp))).hexdigest()
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """One assertion event: who said what, where, when.
 
     The id is content-addressed over (assertion, asserter, timestamp), so
@@ -70,36 +92,42 @@ class Claim:
     passes ``claim_id`` vouches that ``assertion`` is already distinct,
     non-empty and in canonical order, that ``timestamp`` is in UTC and that
     the id is the content address of the three; the claim then neither
-    sorts, joins nor hashes them.
+    sorts, joins nor hashes them.  Equality ignores the id.
     """
 
     asserter: str
     source: str
     timestamp: datetime
     assertion: tuple
-    claim_id: InitVar[Optional[str]] = None
-    id: str = field(init=False, compare=False)
+    id: str
 
-    def __post_init__(self, claim_id):
-        if not self.asserter:
+    _key = attrgetter("asserter", "source", "timestamp", "assertion")
+
+    def __init__(
+        self,
+        asserter: str,
+        source: str,
+        timestamp: datetime,
+        assertion: tuple,
+        claim_id: Optional[str] = None,
+    ):
+        if not asserter:
             raise ClaimError("claim asserter must be non-empty")
         if claim_id is None:
-            ordered, text = canonicalize(self.assertion)
+            ordered, text = canonicalize(assertion)
             if not ordered:
                 raise EmptyAssertionError("claim assertion must contain at least one triple")
-            object.__setattr__(self, "assertion", tuple(ordered))
-            timestamp = _canonical_timestamp(self.timestamp)
-            object.__setattr__(self, "timestamp", timestamp)
+            assertion = tuple(ordered)
+            timestamp = _canonical_timestamp(timestamp)
             claim_id = _claim_id(
                 text.encode("utf-8"),
-                self.asserter.encode("utf-8"),
+                asserter.encode("utf-8"),
                 timestamp.isoformat().encode("utf-8"),
             )
-        object.__setattr__(self, "id", claim_id)
+        super().__init__(asserter, source, timestamp, assertion, claim_id)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     owner: Optional[Claim]
     corroborations: tuple
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Optional
@@ -35,6 +34,7 @@ from .model import (
     check_entity_id,
     overlapping_pairs,
 )
+from .record import Record
 
 FAMILY = "family"
 CO_MEMBERSHIP = "co_membership"
@@ -200,8 +200,7 @@ def affiliation_at(
     return hits[0][1]
 
 
-@dataclass(frozen=True)
-class VoterCheck:
+class VoterCheck(Record):
     """One vote whose recorded party disagrees with (or cannot be resolved
     against) the memberships in effect at the vote event's start date."""
 

@@ -21,7 +21,6 @@ own, so each insert costs the size of the batch, not of the graph.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, Iterator, Optional
@@ -35,6 +34,7 @@ from .errors import (
     UnknownConceptError,
     UnknownSchemeError,
 )
+from .record import MISSING, Field, Record
 
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 _CURRENCY_RE = re.compile(r"^[A-Z]{3}$")
@@ -77,8 +77,7 @@ def _check_decimal(value, owner: str):
     return dec
 
 
-@dataclass(frozen=True)
-class TimeInterval:
+class TimeInterval(Record):
     """Day-granularity interval, closed on both ends; an absent bound means
     unbounded in that direction."""
 
@@ -149,8 +148,7 @@ def overlapping_pairs(items: Iterable) -> Iterator[tuple]:
         active.append(item)
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(Record):
     """A controlled-vocabulary concept belonging to one scheme.
 
     ``symmetric`` only carries meaning for relation concepts: when true, the
@@ -170,13 +168,13 @@ class Concept:
             check_entity_id(self.broader, "Concept.broader")
 
 
-@dataclass(frozen=True)
-class ConceptScheme:
+class ConceptScheme(Record):
     """A named set of concepts; ids unique within the scheme, broader links
     stay inside the scheme and form no cycles."""
 
     id: str
     concepts: tuple = ()
+    __slots__ = ("_by_id",)  # not a field: the concepts by id
 
     def __post_init__(self):
         check_entity_id(self.id, "ConceptScheme")
@@ -258,11 +256,10 @@ def wire(pred: str, kind: str, *targets: str, multi: bool = False, default=MISSI
     concept | string | date | decimal | boolean); a ref field names the
     classes its id may resolve to, ``"Agent"`` standing for every agent
     class.  The field is required exactly when it has no default."""
-    return field(default=default, metadata={"wire": (pred, kind, targets, multi)})
+    return Field(default, (pred, kind, targets, multi))
 
 
-@dataclass(frozen=True)
-class Person:
+class Person(Record):
     id: str
     name: str = wire(vocab.FOAF_NAME, "string")
 
@@ -272,8 +269,7 @@ class Person:
             raise InvariantError(f"Person {self.id}: name must be non-empty")
 
 
-@dataclass(frozen=True)
-class Organization:
+class Organization(Record):
     id: str
     name: str = wire(vocab.FOAF_NAME, "string")
     classification: Optional[str] = wire(vocab.ORG_CLASSIFICATION, "concept", default=None)
@@ -284,8 +280,7 @@ class Organization:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     id: str
     name: str = wire(vocab.FOAF_NAME, "string")
     members: frozenset = wire(vocab.FOAF_MEMBER, "ref", "Person", multi=True, default=frozenset())
@@ -295,8 +290,7 @@ class Group:
         object.__setattr__(self, "members", frozenset(self.members))
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(Record):
     """A position within an organization; ``exclusive`` posts hold at most
     one person at any moment."""
 
@@ -309,8 +303,7 @@ class Post:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(Record):
     """The reified, time-qualified fact that a person occupies a post; the
     only way a person relates to an organization."""
 
@@ -322,8 +315,7 @@ class Membership:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class DirectRel:
+class DirectRel(Record):
     """A direct person-to-person relation qualified by a relation concept
     (family ties and similar)."""
 
@@ -339,8 +331,7 @@ class DirectRel:
             raise InvariantError(f"DirectRel {self.id}: relates {self.subject} to itself")
 
 
-@dataclass(frozen=True)
-class Referral:
+class Referral(Record):
     """Some agent nominated a person to occupy a post."""
 
     id: str
@@ -355,8 +346,7 @@ class Referral:
             raise InvariantError(f"Referral {self.id}: {self.referrer} refers itself")
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(Record):
     id: str
     creators: tuple = wire(vocab.DC_CREATOR, "ref", "Person", multi=True)
     title: Optional[str] = wire(vocab.DC_TITLE, "string", default=None)
@@ -368,8 +358,7 @@ class Proposition:
         object.__setattr__(self, "creators", _sorted_ids(self.creators))
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(Record):
     id: str
     proposition: str = wire(vocab.POL_FROM_PROPOSITION, "ref", "Proposition")
     enacted: date = wire(vocab.POL_ENACTED_ON, "date")
@@ -377,16 +366,14 @@ class Law:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(Record):
     id: str
     date: date = wire(vocab.DC_DATE, "date")
 
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class VoteEvent:
+class VoteEvent(Record):
     """One voting round within a session, deciding a disposition of a
     proposition."""
 
@@ -399,8 +386,7 @@ class VoteEvent:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class Voter:
+class Voter(Record):
     """A person in their voting role, preserving the party affiliation the
     data source recorded for them."""
 
@@ -411,8 +397,7 @@ class Voter:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class Vote:
+class Vote(Record):
     id: str
     vote_event: str = wire(vocab.POL_VOTE_EVENT_PROP, "ref", "VoteEvent")
     voter: str = wire(vocab.POL_VOTER_PROP, "ref", "Voter")
@@ -421,8 +406,7 @@ class Vote:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(Record):
     id: str
     issuer: str = wire(vocab.POL_ISSUED_BY, "ref", "Group")
     vote_event: str = wire(vocab.POL_VOTE_EVENT_PROP, "ref", "VoteEvent")
@@ -431,8 +415,7 @@ class Recommendation:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class Election:
+class Election(Record):
     id: str
     date: date = wire(vocab.DC_DATE, "date")
     posts: frozenset = wire(vocab.POL_ELECTS_POST, "ref", "Post", multi=True)
@@ -444,8 +427,7 @@ class Election:
         object.__setattr__(self, "posts", frozenset(self.posts))
 
 
-@dataclass(frozen=True)
-class Candidacy:
+class Candidacy(Record):
     id: str
     person: str = wire(vocab.POL_CANDIDATE, "ref", "Person")
     election: str = wire(vocab.POL_ELECTION_PROP, "ref", "Election")
@@ -460,8 +442,7 @@ class Candidacy:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class TransactionObject:
+class TransactionObject(Record):
     id: str
     kind: str  # "product" or "service"; it is the wire type marker
     description: str = wire(vocab.SCHEMA_DESCRIPTION, "string", default="")
@@ -472,8 +453,7 @@ class TransactionObject:
             raise InvariantError(f"TransactionObject {self.id}: kind must be product or service")
 
 
-@dataclass(frozen=True)
-class Participation:
+class Participation(Record):
     """One agent taking one role in a transaction or legal case."""
 
     agent: str
@@ -493,8 +473,7 @@ def _norm_participants(values) -> tuple:
     return tuple(sorted(set(parts), key=lambda p: (p.agent, p.role)))
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(Record):
     """An exchange between two or more agents, each in a role, over an
     object, for an amount."""
 
@@ -517,8 +496,7 @@ class Transaction:
             raise InvariantError(f"Transaction {self.id}: bad currency code {self.currency!r}")
 
 
-@dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(Record):
     id: str
     candidacy: str = wire(vocab.POL_CANDIDACY_PROP, "ref", "Candidacy")
     transactions: tuple = wire(
@@ -530,8 +508,7 @@ class CampaignReport:
         object.__setattr__(self, "transactions", _sorted_ids(self.transactions))
 
 
-@dataclass(frozen=True)
-class Asset:
+class Asset(Record):
     id: str
     owner: str = wire(vocab.POL_OWNER, "ref", "Person")
     description: str = wire(vocab.SCHEMA_DESCRIPTION, "string", default="")
@@ -543,8 +520,7 @@ class Asset:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     id: str
     candidacy: str = wire(vocab.POL_CANDIDACY_PROP, "ref", "Candidacy")
     assets: tuple = wire(vocab.POL_ASSET_PROP, "ref", "Asset", multi=True, default=())
@@ -554,8 +530,7 @@ class PropertyReport:
         object.__setattr__(self, "assets", _sorted_ids(self.assets))
 
 
-@dataclass(frozen=True)
-class LegalCase:
+class LegalCase(Record):
     id: str
     participants: tuple  # Participation values, stored sorted
     interval: Optional[TimeInterval] = None
@@ -603,8 +578,7 @@ ENTITY_CLASSES = tuple(_TYPE_IRIS)
 # -- the field table ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """One entity field: its attribute, wire predicate and value kind."""
 
     attr: str
@@ -617,8 +591,7 @@ class FieldSpec:
     key: str  # "<Cls>.<attr>"
 
 
-@dataclass(frozen=True)
-class TypeSpec:
+class TypeSpec(Record):
     """One entity class: its type marker, its fields in wire order, and
     whether it carries an interval and participants."""
 
@@ -641,33 +614,29 @@ _TARGETS["Agent"] = AGENT_CLASSES
 
 def _type_spec(cls, type_iri: Optional[str]) -> TypeSpec:
     """Read the class's ``wire(...)`` declarations into its table entry."""
-    declared = {f.name: f for f in fields(cls)}
+    defaults = cls._field_defaults
     specs = []
-    for f in declared.values():
-        if "wire" not in f.metadata:
-            continue
-        pred, kind, targets, multi = f.metadata["wire"]
-        required = f.default is MISSING
+    for attr, (pred, kind, targets, multi) in cls._field_metadata.items():
+        required = attr not in defaults
         specs.append(
             FieldSpec(
-                f.name,
+                attr,
                 pred,
                 kind,
                 required,
                 multi,
-                None if required or multi else f.default,
+                None if required or multi else defaults[attr],
                 tuple(c for name in targets for c in _TARGETS[name]),
-                f"{cls.__name__}.{f.name}",
+                f"{cls.__name__}.{attr}",
             )
         )
-    interval = declared.get("interval")
     return TypeSpec(
         cls,
         type_iri,
         tuple(specs),
-        None if interval is None else "interval",
-        interval is not None and interval.default is None,
-        "participants" in declared,
+        "interval" if "interval" in cls._fields else None,
+        defaults.get("interval", MISSING) is None,
+        "participants" in cls._fields,
     )
 
 

@@ -9,19 +9,18 @@ their direction with the direction reported on the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import UnknownAgentError
 from .inference import FAMILY, RelationEdge, RelationGraph, check_edge_kinds
+from .record import Record
 
 MAX_DEPTH_CAP = 8
 
 
-@dataclass(frozen=True)
-class PathQuery:
+class PathQuery(Record):
     source: str
     target: str
     max_depth: int = 4
@@ -44,14 +43,10 @@ class PathStep(NamedTuple):
     forward: bool = True
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     source: str
     target: str
-    steps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    steps: tuple  # PathStep values
 
     @property
     def length(self) -> int:

@@ -9,13 +9,13 @@ conforms exactly when no error-severity violation exists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
 from . import vocab
 from .errors import StoreError
 from .model import Candidacy, EntityGraph, Membership, Post, iter_concept_refs, overlapping_pairs
+from .record import Record
 from .schemes import read_json
 from .wire import id_for_term, iri, is_literal, literal_parts
 
@@ -35,8 +35,7 @@ _HAS_MEMBER = iri(vocab.ORG_HAS_MEMBER)
 _SEVERITY_LEVELS = (ERROR, WARN, "off")
 
 
-@dataclass(frozen=True)
-class ShapeConfig:
+class ShapeConfig(Record):
     """Which checks run and how hard they bite."""
 
     exclusive_occupancy: bool = True
@@ -55,7 +54,7 @@ class ShapeConfig:
     def from_dict(cls, data: dict, origin: str = "config") -> "ShapeConfig":
         if not isinstance(data, dict):
             raise StoreError(f"{origin}: expected a JSON object")
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs = {f: data[f] for f in cls._fields if f in data}
         unknown = set(data) - set(kwargs)
         if unknown:
             raise StoreError(f"{origin}: unknown keys {sorted(unknown)}")
@@ -69,8 +68,7 @@ def load_shape_config(path: Union[str, Path]) -> ShapeConfig:
     return ShapeConfig.from_dict(read_json(path), str(path))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     code: str
     severity: str
     focus: str
@@ -90,8 +88,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     violations: tuple
 
     def __post_init__(self):

@@ -39,6 +39,16 @@ from .test_wire import any_triples
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 #: instants whose UTC equivalent falls outside datetime's range
 OUT_OF_RANGE = ["9999-12-31T23:59:59-05:00", "0001-01-01T00:00:00+05:00"]
+#: ISO 8601 spellings that are no RFC 3339 date-time; some Pythons'
+#: fromisoformat reads them
+NOT_RFC3339 = [
+    "2016-10-02",
+    "2016-10-02T10Z",
+    "20161002T100000Z",
+    "2016-W40-1T10:00:00Z",
+    "2016-10-02T10:00:00,5Z",
+    "2016-10-02T10:00:00+0530",
+]
 
 
 def tr(n: int) -> tuple:
@@ -109,6 +119,27 @@ class TestParseTimestamp:
 
     def test_naive_treated_as_utc(self):
         assert parse_timestamp("2020-01-01T00:00:00") == T0
+
+    def test_lower_case_t_and_z(self):
+        assert parse_timestamp("2020-01-01t00:00:00z") == T0
+
+    @pytest.mark.parametrize(
+        "text, micro",
+        [("2020-01-01T00:00:00.5Z", 500000), ("2020-01-01T00:00:00.123Z", 123000),
+         ("2020-01-01T00:00:00.1234567Z", 123456)],
+    )
+    def test_fraction_keeps_six_digits(self, text, micro):
+        assert parse_timestamp(text) == T0.replace(microsecond=micro)
+
+    @pytest.mark.parametrize("text", NOT_RFC3339)
+    def test_other_iso_8601_spellings_rejected(self, text):
+        with pytest.raises(ClaimError, match="not an RFC 3339 date-time"):
+            parse_timestamp(text)
+
+    @pytest.mark.parametrize("text", ["2020-13-01T00:00:00Z", "2020-01-01T24:00:00Z"])
+    def test_field_out_of_range_rejected(self, text):
+        with pytest.raises(ClaimError, match="bad timestamp"):
+            parse_timestamp(text)
 
     def test_garbage_rejected(self):
         with pytest.raises(ClaimError):

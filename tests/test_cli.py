@@ -8,6 +8,8 @@ from polare.cli import run_cli
 from polare.claims import read_claims
 from polare.store import Store
 
+from .test_claims import NOT_RFC3339
+
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
 CLEAN = FIXTURES / "clean_store"
@@ -208,6 +210,16 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", "--claims", str(bad), "--store", str(tmp_path / "s"))
         assert code == 2
         assert err.startswith("error:") and "9999" in err
+
+    @pytest.mark.parametrize("stamp", NOT_RFC3339)
+    def test_timestamp_outside_rfc_3339_is_usage_error(self, capsys, tmp_path, stamp):
+        line = json.loads((OVERLAP / "claims.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        line["timestamp"] = stamp
+        bad = tmp_path / "stamp.jsonl"
+        bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "ingest", "--claims", str(bad), "--store", str(tmp_path / "s"))
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}:1: bad timestamp {stamp!r}: not an RFC 3339 date-time\n"
 
     def test_iriref_starting_like_a_blank_node_is_usage_error(self, capsys, tmp_path):
         claim = json.loads((OVERLAP / "claims.jsonl").read_text(encoding="utf-8").splitlines()[0])

@@ -2,7 +2,6 @@
 values every entity class yields, the binding keys, and a guard that no
 entity field escapes the table."""
 
-import dataclasses
 from datetime import date
 from decimal import Decimal
 
@@ -232,4 +231,4 @@ def test_every_entity_field_is_in_the_table():
             covered.add("participants")
         if cls is TransactionObject:
             covered.add("kind")
-        assert {f.name for f in dataclasses.fields(cls)} == covered, cls.__name__
+        assert set(cls._fields) == covered, cls.__name__

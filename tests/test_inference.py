@@ -580,8 +580,6 @@ class TestMaterialize:
         assert len(materialize(g).edges()) == 0
 
     def test_rename_isomorphism(self):
-        import dataclasses
-
         from polare.model import iter_references
 
         rng = random.Random(4242)
@@ -594,19 +592,19 @@ class TestMaterialize:
         def rename_entity(e):
             ref_fields = {f for f, _, _ in iter_references(e)}
             changes = {"id": rn(e.id)}
-            for f in dataclasses.fields(e):
-                if f.name not in ref_fields:
+            for name in e._fields:
+                if name not in ref_fields:
                     continue
-                v = getattr(e, f.name)
+                v = getattr(e, name)
                 if isinstance(v, str):
-                    changes[f.name] = rn(v)
+                    changes[name] = rn(v)
                 elif isinstance(v, frozenset):
-                    changes[f.name] = frozenset(rn(x) for x in v)
+                    changes[name] = frozenset(rn(x) for x in v)
                 elif isinstance(v, tuple) and v and isinstance(v[0], Participation):
-                    changes[f.name] = tuple(Participation(rn(p.agent), p.role) for p in v)
+                    changes[name] = tuple(Participation(rn(p.agent), p.role) for p in v)
                 elif isinstance(v, tuple):
-                    changes[f.name] = tuple(rn(x) for x in v)
-            return dataclasses.replace(e, **changes)
+                    changes[name] = tuple(rn(x) for x in v)
+            return type(e)(**{**{name: getattr(e, name) for name in e._fields}, **changes})
 
         g2 = new_graph()
         g2.add_all([rename_entity(e) for e in g.entities()], allow_dangling=True)
